@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import ctypes
 import json
 import math
+import numbers
 import os
 import zlib
 from dataclasses import dataclass, field, replace
@@ -124,6 +126,7 @@ class McScenario:
         for spec in self.estimators:
             if spec.method not in METHODS:
                 raise ParameterError(f"no such method {spec.method!r}")
+            _check_params(spec)
         structural = self.structural()
         budget = self.population.n_aux - len(structural)
         if not self.d_noise_levels:
@@ -156,11 +159,17 @@ def _ma_total(predictor: FittedPredictor, sample: DrawnSample, ys: np.ndarray, p
     return float(fitted.sum() + np.sum((ys - fitted[sample.indices]) * sample.weights))
 
 
+_HT_KEYS: frozenset[str] = frozenset()
+
+
 def _build_ht(params: Mapping) -> Fitter:
     def fit(sample, xs, ys, pop_xw, rng):
         return float(np.sum(ys * sample.weights))
 
     return fit
+
+
+_GREG_KEYS = frozenset({"intercept"})
 
 
 def _build_greg(params: Mapping) -> Fitter:
@@ -170,6 +179,44 @@ def _build_greg(params: Mapping) -> Fitter:
         return _ma_total(fit_greg(sample, xs, ys, intercept=intercept), sample, ys, pop_xw)
 
     return fit
+
+
+_PENALIZED_KEYS = frozenset(
+    {
+        "lam",
+        "alpha",
+        "cv_folds",
+        "cv_lambdas",
+        "lambda_min_ratio",
+        "cv_weighted_loss",
+        "tol",
+        "cv_tol",
+        "cv_patience",
+        "max_iter",
+    }
+)
+
+
+def _check_penalty(spec: EstimatorSpec) -> None:
+    """``lam`` is "cv" or a finite nonnegative number; ``alpha`` is "cv" or in [0, 1]."""
+    lam = spec.params.get("lam", "cv")
+    if lam != "cv" and not (_is_real(lam) and math.isfinite(lam) and lam >= 0):
+        raise ParameterError(
+            f"estimator {spec.label!r}: 'lam' must be \"cv\" or a finite nonnegative number, not {lam!r}"
+        )
+    if "alpha" not in spec.params:
+        return
+    alpha = spec.params["alpha"]
+    if alpha != "cv" and not (_is_real(alpha) and 0.0 <= alpha <= 1.0):
+        raise ParameterError(
+            f"estimator {spec.label!r}: 'alpha' must be \"cv\" or a number in [0, 1], not {alpha!r}"
+        )
+    if alpha == "cv" and lam != "cv":
+        raise ParameterError(f"estimator {spec.label!r}: 'alpha' \"cv\" needs 'lam' \"cv\"")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _build_penalized(default_alpha: float) -> Callable[[Mapping], Fitter]:
@@ -217,6 +264,9 @@ def _build_penalized(default_alpha: float) -> Callable[[Mapping], Fitter]:
     return build
 
 
+_TREE_KEYS = frozenset({"min_leaf"})
+
+
 def _build_tree(params: Mapping) -> Fitter:
     min_leaf = int(params.get("min_leaf", 5))
 
@@ -225,6 +275,11 @@ def _build_tree(params: Mapping) -> Fitter:
         return _ma_total(tree_predictor(tree), sample, ys, pop_xw)
 
     return fit
+
+
+_FOREST_KEYS = frozenset(
+    {"n_trees", "min_leaf", "n_split_features", "bootstrap", "forced_features", "weighted_bootstrap"}
+)
 
 
 def _build_forest(params: Mapping) -> Fitter:
@@ -259,6 +314,9 @@ def _build_forest(params: Mapping) -> Fitter:
     return fit
 
 
+_KNN_KEYS = frozenset({"k", "weighted"})
+
+
 def _build_knn(params: Mapping) -> Fitter:
     k = int(params.get("k", 5))
     weighted = bool(params.get("weighted", False))
@@ -267,6 +325,9 @@ def _build_knn(params: Mapping) -> Fitter:
         return _ma_total(fit_knn(sample, xs, ys, k, weighted=weighted), sample, ys, pop_xw)
 
     return fit
+
+
+_PCR_KEYS = frozenset({"rule", "n_components"})
 
 
 def _build_pcr(params: Mapping) -> Fitter:
@@ -294,11 +355,41 @@ METHODS: dict[str, Callable[[Mapping], Fitter]] = {
 }
 
 
+#: Parameter keys of the built-in methods.  Methods added through
+#: ``register_method`` are not checked.
+_ACCEPTED_KEYS: dict[str, frozenset[str]] = {
+    HT_METHOD: _HT_KEYS,
+    "greg": _GREG_KEYS,
+    "ridge": _PENALIZED_KEYS,
+    "lasso": _PENALIZED_KEYS,
+    "en": _PENALIZED_KEYS,
+    "tree": _TREE_KEYS,
+    "forest": _FOREST_KEYS,
+    "knn": _KNN_KEYS,
+    "pcr": _PCR_KEYS,
+}
+
+
+def _check_params(spec: EstimatorSpec) -> None:
+    accepted = _ACCEPTED_KEYS.get(spec.method)
+    if accepted is None:
+        return
+    for key in spec.params:
+        if key not in accepted:
+            raise ParameterError(
+                f"estimator {spec.label!r}: method {spec.method!r} has no parameter {key!r} "
+                f"(it accepts: {', '.join(sorted(accepted)) or 'none'})"
+            )
+    if accepted is _PENALIZED_KEYS:
+        _check_penalty(spec)
+
+
 def register_method(name: str, builder: Callable[[Mapping], Fitter], *, replace_existing: bool = False) -> None:
     """Add a custom estimator to the roster registry."""
     if name in METHODS and not replace_existing:
         raise ParameterError(f"method {name!r} already registered")
     METHODS[name] = builder
+    _ACCEPTED_KEYS.pop(name, None)
 
 
 def _method_stream_key(label: str) -> int:
@@ -333,7 +424,34 @@ def _run_replicates(scenario: McScenario, level: int, reps: Sequence[int]):
 _WORKER_ARGS: tuple[McScenario, int] | None = None
 
 
+def _openblas_function(name: str, restype, argtypes):
+    """``openblas_<name>`` of the OpenBLAS bundled with numpy, or None."""
+    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            function = getattr(handle, symbol, None)
+            if function is not None:
+                function.restype = restype
+                function.argtypes = argtypes
+                return function
+    return None
+
+
+def _set_blas_threads(count: int) -> int | None:
+    """Set the OpenBLAS thread count; returns the previous one, or None without OpenBLAS."""
+    get_threads = _openblas_function("get_num_threads", ctypes.c_int, [])
+    set_threads = _openblas_function("set_num_threads", None, [ctypes.c_int])
+    if get_threads is None or set_threads is None:
+        return None
+    previous = get_threads()
+    set_threads(count)
+    return previous
+
+
 def _worker_init(scenario: McScenario, level: int) -> None:
+    # Workers already split the cores; BLAS threads of their own would
+    # oversubscribe them and spin on every small solve.
+    _set_blas_threads(1)
     global _WORKER_ARGS
     _WORKER_ARGS = (scenario, level)
 
@@ -373,7 +491,14 @@ def run_scenario(scenario: McScenario, *, threads: int = 1, log_estimates: bool 
         estimates = np.vstack([p[0] for p in parts])
         messages = [row for p in parts for row in p[1]]
     else:
-        estimates, messages = _run_replicates(scenario, level, reps)
+        # One BLAS thread here too: OpenBLAS rounds some products differently
+        # by thread count, and estimates must not depend on ``threads``.
+        previous = _set_blas_threads(1)
+        try:
+            estimates, messages = _run_replicates(scenario, level, reps)
+        finally:
+            if previous is not None:
+                _set_blas_threads(previous)
 
     t_y = scenario.population.total()
     if t_y == 0:

@@ -52,6 +52,18 @@ class TestSimulate:
         assert "svyest" in err and "bad.json" in err
 
 
+    def test_wrong_case_penalty_is_runtime_error(self, tmp_path, capsys):
+        config = json.loads(_scenario_config(tmp_path).read_text())
+        config["estimators"] = [{"method": "lasso", "lam": "CV"}]
+        bad = tmp_path / "wrong_case.json"
+        bad.write_text(json.dumps(config))
+        code = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'lam'" in err and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
+
 class TestReport:
     def test_pivot_by_dnoise_shape(self, tmp_path):
         scenario = _scenario_config(tmp_path, levels=(0, 2))

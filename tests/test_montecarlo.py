@@ -1,3 +1,7 @@
+import concurrent.futures
+import ctypes
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from svyest import (
     assign_strata_by_quantile,
     generate_auxiliary,
     generate_survey_variable,
+    load_scenario,
     read_report,
     register_method,
     run_scenario,
@@ -22,6 +27,7 @@ from svyest import (
     write_report,
 )
 from svyest.errors import SvyestError
+from svyest import montecarlo
 from svyest.montecarlo import REPORT_HEADER
 
 
@@ -160,6 +166,106 @@ class TestRunScenario:
         pop = _make_population(p=5)
         with pytest.raises(ParameterError, match="d_noise"):
             _scenario(pop, [EstimatorSpec("greg")], levels=(3,))
+
+
+class TestParameterChecks:
+    def _write(self, tmp_path, entry):
+        config = {
+            "population": {"generator": {"units": 60, "columns": 6, "rho": 0.3, "seed": 5}},
+            "model": {"variant": "Y1", "noise_scale": 100.0, "seed": 6},
+            "design": {"kind": "srswor", "n": 12},
+            "estimators": [entry],
+            "d_noise_levels": [0],
+            "replicates": 3,
+            "master_seed": 1,
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def test_unknown_key_rejected_on_construction(self):
+        pop = _make_population()
+        with pytest.raises(ParameterError, match="'forest'.*'ntrees'"):
+            _scenario(pop, [EstimatorSpec("forest", params={"ntrees": 3})])
+
+    def test_unknown_key_rejected_on_load(self, tmp_path):
+        path = self._write(tmp_path, {"method": "forest", "ntrees": 3})
+        with pytest.raises(ParameterError, match="'forest'.*'ntrees'"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "method, key",
+        [("ht", "lam"), ("greg", "alpha"), ("lasso", "n_trees"), ("tree", "k"), ("knn", "n"), ("pcr", "k")],
+    )
+    def test_every_builtin_checks_its_keys(self, method, key):
+        pop = _make_population()
+        with pytest.raises(ParameterError, match=f"'{method}'.*'{key}'"):
+            _scenario(pop, [EstimatorSpec(method, params={key: 1})])
+
+    def test_registered_methods_not_checked(self):
+        _register_stubs()
+        pop = _make_population()
+        _scenario(pop, [EstimatorSpec("stub_oracle", params={"t_y": 1.0, "anything": 2})])
+
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            ({"lam": "CV"}, "lam"),
+            ({"lam": -1.0}, "lam"),
+            ({"lam": float("nan")}, "lam"),
+            ({"lam": float("inf")}, "lam"),
+            ({"lam": True}, "lam"),
+            ({"lam": "0.5"}, "lam"),
+            ({"alpha": "CV"}, "alpha"),
+            ({"alpha": 1.5}, "alpha"),
+            ({"alpha": -0.1}, "alpha"),
+            ({"alpha": None}, "alpha"),
+            ({"lam": 0.5, "alpha": "cv"}, "alpha"),
+        ],
+    )
+    def test_bad_penalty_rejected(self, params, key):
+        pop = _make_population()
+        with pytest.raises(ParameterError, match=f"'{key}'"):
+            _scenario(pop, [EstimatorSpec("en", params=params)])
+
+    @pytest.mark.parametrize(
+        "params",
+        [{}, {"lam": "cv"}, {"lam": 0}, {"lam": 2.5}, {"lam": "cv", "alpha": "cv"}, {"lam": 1, "alpha": 0}, {"alpha": 1}],
+    )
+    def test_good_penalty_accepted(self, params):
+        pop = _make_population()
+        _scenario(pop, [EstimatorSpec("lasso", params=params)])
+
+    def test_wrong_case_lam_fails_before_any_replicate(self, tmp_path):
+        path = self._write(tmp_path, {"method": "lasso", "lam": "CV"})
+        with pytest.raises(ParameterError, match="'lam'"):
+            load_scenario(path)
+
+
+def _blas_threads():
+    get_threads = montecarlo._openblas_function("get_num_threads", ctypes.c_int, [])
+    return None if get_threads is None else get_threads()
+
+
+class TestBlasThreads:
+    def test_pool_workers_run_one_blas_thread(self):
+        before = _blas_threads()
+        if before is None:
+            pytest.skip("numpy's OpenBLAS is not loaded")
+        scenario = _scenario(_make_population(), [EstimatorSpec("greg")])
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, initializer=montecarlo._worker_init, initargs=(scenario, 0)
+        ) as pool:
+            in_worker = pool.submit(_blas_threads).result(timeout=60)
+        assert in_worker == 1
+        assert _blas_threads() == before
+
+    def test_serial_run_restores_blas_threads(self):
+        before = _blas_threads()
+        if before is None:
+            pytest.skip("numpy's OpenBLAS is not loaded")
+        run_scenario(_scenario(_make_population(), [EstimatorSpec("greg")]), threads=1)
+        assert _blas_threads() == before
 
 
 class TestSweep:

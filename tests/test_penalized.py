@@ -18,6 +18,7 @@ from svyest import (
     soft_threshold,
     substream,
 )
+from svyest.penalized import DEFAULT_TOL
 
 
 def _instance(seed, n=30, p=5, sparse=True):
@@ -224,6 +225,90 @@ class TestElasticNet:
         )
         # penalising the intercept can only pull the fitted level toward zero
         assert abs(pinned.params["intercept"]) <= abs(free.params["intercept"]) + 1e-9
+
+
+def _kkt_violation(sample, x, y, fit, spec):
+    """Per-coordinate KKT violations of an elastic-net fit, and their bounds.
+
+    Rebuilds the root-weighted standardized problem from the data, apart from
+    the solver.  For an active j the violation is
+    ``|x_j'r - lam(1-alpha) b_j - lam alpha sign(b_j)|``; for an inactive j it
+    is ``max(|x_j'r| - lam alpha, 0)``.  Descent stops after a full sweep
+    moves no coordinate by ``tol``; each coordinate met its own condition
+    when visited, so the violation is at most ``tol * sum_k |G_jk|``.
+    """
+    d = sample.weights
+    sw = np.sqrt(d)
+    std = fit.params["standardization"]
+    u = std.transform(x)
+    if spec.penalize_intercept:
+        xt = np.column_stack([sw, u * sw[:, None]])
+        yt = y * sw
+        b0 = fit.params["intercept"] + float(std.center @ fit.params["coef"])
+        beta = np.concatenate([[b0], fit.params["coef_std"]])
+    else:
+        ybar = float((d / d.sum()) @ y)
+        xt = u * sw[:, None]
+        yt = (y - ybar) * sw
+        beta = fit.params["coef_std"]
+    correlation = xt.T @ (yt - xt @ beta)
+    active = beta != 0
+    violation = np.where(
+        active,
+        np.abs(correlation - spec.lam * (1 - spec.alpha) * beta - spec.lam * spec.alpha * np.sign(beta)),
+        np.maximum(np.abs(correlation) - spec.lam * spec.alpha, 0.0),
+    )
+    gram = xt.T @ xt
+    bound = DEFAULT_TOL * np.abs(gram).sum(axis=1) + 1e-9 * np.abs(xt.T @ yt).max()
+    return violation, bound
+
+
+class TestKktCertificate:
+    def _lam_max(self, sample, x, y, alpha):
+        d = sample.weights
+        std = Standardization.fit(x, d)
+        sw = np.sqrt(d)
+        yt = (y - float((d / d.sum()) @ y)) * sw
+        return float(np.max(np.abs((std.transform(x) * sw[:, None]).T @ yt))) / alpha
+
+    def _check(self, sample, x, y, spec):
+        fit = fit_elastic_net(sample, x, y, spec)
+        violation, bound = _kkt_violation(sample, x, y, fit, spec)
+        assert np.all(violation <= bound)
+        trace = np.asarray(fit.params["objective_trace"])
+        assert np.all(np.diff(trace) <= 1e-10 * (abs(trace[0]) + 1.0))
+        return fit
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
+    @pytest.mark.parametrize("ratio", [0.5, 0.1, 0.01, 1e-4])
+    def test_correlated_design(self, alpha, ratio):
+        s, x, y = _instance(60, n=60, p=12)
+        x = x + 0.8 * x[:, [0]]
+        lam = ratio * self._lam_max(s, x, y, alpha)
+        self._check(s, x, y, PenaltySpec(lam=lam, alpha=alpha))
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
+    @pytest.mark.parametrize("ratio", [0.3, 0.03, 1e-3])
+    def test_more_columns_than_rows(self, alpha, ratio):
+        s, x, y = _instance(61, n=30, p=50)
+        lam = ratio * self._lam_max(s, x, y, alpha)
+        fit = self._check(s, x, y, PenaltySpec(lam=lam, alpha=alpha))
+        assert np.count_nonzero(fit.params["coef"]) > 0
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
+    def test_penalized_intercept(self, alpha):
+        s, x, y = _instance(62, n=40, p=8)
+        for lam in (5.0, 0.5):
+            self._check(s, x, y, PenaltySpec(lam=lam, alpha=alpha, penalize_intercept=True))
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
+    @pytest.mark.parametrize("ratio", [0.2, 0.01])
+    def test_duplicated_column(self, alpha, ratio):
+        # the lasso's active sub-Gram is singular once both copies enter
+        s, x, y = _instance(63, n=40, p=6)
+        x = np.column_stack([x, x[:, 0]])
+        lam = ratio * self._lam_max(s, x, y, alpha)
+        self._check(s, x, y, PenaltySpec(lam=lam, alpha=alpha))
 
 
 class TestCrossValidate:
