@@ -63,7 +63,6 @@ from .trees import (
     TreeNode,
     best_split,
     fit_forest,
-    forest_ma_estimate,
     grow_tree,
     leaves,
     predict_tree,

@@ -1,10 +1,14 @@
 """Design-weighted regression trees and random forests.
 
 Splits maximise the unweighted variance-reduction criterion over candidate
-features and midpoints of consecutive distinct values; leaf coefficients are
-design-weighted means.  Every leaf holds between ``min_leaf`` and
-``2 * min_leaf - 1`` units unless a node admits no positive-gain split, which
-is logged as a discipline exception rather than raised.
+features and midpoints of consecutive distinct values; ties break to the
+lowest feature, then the smallest threshold.  A node's split search is one
+stable sort of its unit x feature block along the unit axis, one cumulative
+sum of y in that order and one argmax over the (cut x feature) gains.  Leaf
+coefficients are design-weighted means.  Every leaf holds between
+``min_leaf`` and ``2 * min_leaf - 1`` units unless a node admits no
+positive-gain split, which is logged as a discipline exception rather than
+raised.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ParameterError
-from .estimators import FittedPredictor, MAEstimate, model_assisted
+from .estimators import FittedPredictor, MAEstimate
 from .population import FinitePopulation
 from .sampling import DrawnSample
 
@@ -92,33 +96,37 @@ def best_split(
         raise ParameterError("min_leaf must be at least 1")
     units = np.asarray(node_units, dtype=int)
     m = units.size
-    if m < 2 * min_leaf:
+    features = np.unique(np.asarray(candidate_features, dtype=int))
+    if m < 2 * min_leaf or features.size == 0:
         return None
     node_y = y[units]
     total = float(node_y.sum())
     gain_floor = _GAIN_FLOOR * float(node_y @ node_y) / m
-    sizes = np.arange(min_leaf, m - min_leaf + 1, dtype=float)
-    best = None
-    best_gain = 0.0
-    for feature in sorted(int(f) for f in candidate_features):
-        values = x[units, feature]
-        order = np.argsort(values, kind="stable")
-        v_sorted = values[order]
-        cum = np.cumsum(node_y[order])
-        left_at = np.arange(min_leaf, m - min_leaf + 1)
-        distinct = v_sorted[left_at - 1] < v_sorted[left_at]
-        if not distinct.any():
-            continue
-        left_n = sizes[distinct]
-        left_sum = cum[left_at[distinct] - 1]
-        gains = (left_sum**2 / left_n + (total - left_sum) ** 2 / (m - left_n) - total**2 / m) / m
-        pick = int(np.argmax(gains))
-        gain = float(gains[pick])
-        if gain > best_gain and gain > gain_floor:
-            cut = left_at[distinct][pick]
-            best = (feature, float(0.5 * (v_sorted[cut - 1] + v_sorted[cut])))
-            best_gain = gain
-    return best
+    # one stable column sort orders each feature exactly as a 1-D sort would,
+    # and cumsum adds in the same sequence, so every gain is the same float
+    block = x[np.ix_(units, features)]
+    order = np.argsort(block, axis=0, kind="stable")
+    v_sorted = np.take_along_axis(block, order, axis=0)
+    cum = np.cumsum(node_y[order], axis=0)
+    # row c of the (cut x feature) arrays puts the first min_leaf + c units left
+    lo, hi = min_leaf - 1, m - min_leaf
+    left_n = np.arange(min_leaf, m - min_leaf + 1, dtype=float)[:, None]
+    left_sum = cum[lo:hi]
+    gains = (left_sum**2 / left_n + (total - left_sum) ** 2 / (m - left_n) - total**2 / m) / m
+    # a cut must fall between distinct values; not-less (not >=) also drops NaN
+    gains[~(v_sorted[lo:hi] < v_sorted[lo + 1 : hi + 1])] = -np.inf
+    # feature-major flat argmax: lowest feature first, then smallest threshold
+    column, row = divmod(int(np.argmax(gains.T)), gains.shape[0])
+    gain = float(gains[row, column])
+    if not (gain > 0.0 and gain > gain_floor):
+        return None
+    cut = min_leaf + row
+    return int(features[column]), float(0.5 * (v_sorted[cut - 1, column] + v_sorted[cut, column]))
+
+
+def _check_forced(forced, p):
+    if not all(isinstance(f, (int, np.integer)) and 0 <= f < p for f in forced):
+        raise ParameterError(f"forced_features {tuple(forced)} must be integers in [0, {p})")
 
 
 def _draw_candidates(p, n_split_features, forced, rng):
@@ -193,6 +201,7 @@ def grow_tree(
         raise ParameterError(f"sample of {sample.n} units cannot fill a leaf of {min_leaf}")
     if n_split_features is not None and rng is None:
         raise ParameterError("feature subsampling needs an rng")
+    _check_forced(forced_features, x.shape[1])
     return _grow(x, y, sample.pi, min_leaf, rng, n_split_features, tuple(forced_features))
 
 
@@ -283,6 +292,7 @@ def fit_forest(
         k = max(1, int(np.floor(np.sqrt(p))))
     if k > p:
         raise ParameterError(f"cannot sample {k} features from {p}")
+    _check_forced(spec.forced_features, p)
     n = sample.n
     d = sample.weights
     boot_p = d / d.sum() if spec.weighted_bootstrap else None
@@ -308,25 +318,4 @@ def fit_forest(
         predict=predict,
         params={"trees": trees, "spec": spec},
         diagnostics={"n_trees": float(spec.n_trees), "n_split_features": float(k)},
-    )
-
-
-def forest_ma_estimate(
-    pop: FinitePopulation,
-    sample: DrawnSample,
-    forest: FittedPredictor,
-    columns: Sequence[int] | None = None,
-) -> MAEstimate:
-    """Generic model-assisted total under the forest prediction surface.
-
-    Equals the average of the per-tree model-assisted totals (each tree's
-    residual correction summed over the original sample), since averaging and
-    the estimator are both linear in the prediction surface.
-    """
-    estimate = model_assisted(sample, pop, forest, columns)
-    return MAEstimate(
-        t_hat=estimate.t_hat,
-        method="forest",
-        n_used=estimate.n_used,
-        diagnostics=dict(estimate.diagnostics),
     )

@@ -12,7 +12,6 @@ from svyest import (
     best_split,
     draw,
     fit_forest,
-    forest_ma_estimate,
     grow_tree,
     leaves,
     model_assisted,
@@ -21,6 +20,7 @@ from svyest import (
     tree_ma_estimate,
     tree_predictor,
 )
+from svyest import trees
 
 
 def _brute_force_split(units, x, y, features, min_leaf):
@@ -44,6 +44,81 @@ def _brute_force_split(units, x, y, features, min_leaf):
                 best = (feature, z)
                 best_gain = gain
     return best, best_gain
+
+
+def _loop_split(node_units, x, y, candidate_features, min_leaf=1):
+    """Reference: the per-feature loop ``best_split`` replaced, one sort per feature."""
+    units = np.asarray(node_units, dtype=int)
+    m = units.size
+    if m < 2 * min_leaf:
+        return None
+    node_y = y[units]
+    total = float(node_y.sum())
+    gain_floor = 1e-12 * float(node_y @ node_y) / m
+    sizes = np.arange(min_leaf, m - min_leaf + 1, dtype=float)
+    best = None
+    best_gain = 0.0
+    for feature in sorted(int(f) for f in candidate_features):
+        values = x[units, feature]
+        order = np.argsort(values, kind="stable")
+        v_sorted = values[order]
+        cum = np.cumsum(node_y[order])
+        left_at = np.arange(min_leaf, m - min_leaf + 1)
+        distinct = v_sorted[left_at - 1] < v_sorted[left_at]
+        if not distinct.any():
+            continue
+        left_n = sizes[distinct]
+        left_sum = cum[left_at[distinct] - 1]
+        gains = (left_sum**2 / left_n + (total - left_sum) ** 2 / (m - left_n) - total**2 / m) / m
+        pick = int(np.argmax(gains))
+        gain = float(gains[pick])
+        if gain > best_gain and gain > gain_floor:
+            cut = left_at[distinct][pick]
+            best = (feature, float(0.5 * (v_sorted[cut - 1] + v_sorted[cut])))
+            best_gain = gain
+    return best
+
+
+def _random_node(rng):
+    """A node with the ties, degenerate columns and candidate lists trees meet."""
+    n = int(rng.integers(2, 60))
+    p = int(rng.integers(1, 9))
+    x = rng.normal(0.0, 1.0, (n, p))
+    if rng.random() < 0.4:
+        x = np.round(x * rng.integers(1, 4))  # few distinct values: tied x
+    y = x[:, 0] + rng.normal(0.0, 1.0, n)
+    if rng.random() < 0.2:
+        y = np.round(y)
+    if rng.random() < 0.5:
+        take = rng.choice(n, size=n, replace=True)  # bootstrap duplicates
+        x, y = x[take], y[take]
+    if p > 1 and rng.random() < 0.4:
+        x[:, rng.integers(1, p)] = x[:, 0]  # identical columns: tied gains
+    if rng.random() < 0.3:
+        x[:, rng.integers(0, p)] = 2.5  # constant column
+    if p > 1 and rng.random() < 0.3:
+        # column 1 ranks column 0 with ties broken by row, so the two tie
+        # exactly only if column 0's tied units are summed in row order
+        x[:, 0] = rng.integers(0, 3, n)
+        x[:, 1] = np.argsort(np.argsort(x[:, 0], kind="stable"), kind="stable")
+        y = 10.0 * x[:, 0] + rng.choice([0.1, 0.2, 0.3, 0.7], n)
+    min_leaf = int(rng.integers(1, 6))
+    m = int(rng.choice([2 * min_leaf - 1, 2 * min_leaf, rng.integers(0, n + 1)]))
+    units = rng.choice(n, size=min(m, n), replace=False)
+    if rng.random() < 0.7:
+        units = np.sort(units)
+    kind = rng.integers(0, 5)
+    if kind == 0:
+        candidates = range(p)
+    elif kind == 1:
+        candidates = list(rng.permutation(p)[: rng.integers(1, p + 1)])
+    elif kind == 2:
+        candidates = [int(f) for f in rng.integers(0, p, size=rng.integers(1, 2 * p + 1))]
+    elif kind == 3:
+        candidates = []
+    else:
+        candidates = np.sort(rng.choice(p, size=rng.integers(1, p + 1), replace=False))
+    return units, x, y, candidates, min_leaf
 
 
 def _sample(n, seed, lo=0.2, hi=0.9):
@@ -86,6 +161,20 @@ class TestBestSplit:
             assert got is not None
             assert got[0] == expected[0]
             assert got[1] == pytest.approx(expected[1], rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_per_feature_loop_exactly(self, seed):
+        rng = substream(seed, 17)
+        found = 0
+        for _ in range(100):
+            units, x, y, candidates, min_leaf = _random_node(rng)
+            got = best_split(units, x, y, candidates, min_leaf)
+            expected = _loop_split(units, x, y, candidates, min_leaf)
+            assert got == expected
+            if got is not None:
+                assert type(got[0]) is int and type(got[1]) is float
+                found += 1
+        assert found >= 25
 
     def test_infeasible_node_gives_none(self):
         x = np.array([[1.0], [2.0], [3.0]])
@@ -242,7 +331,7 @@ class TestForest:
         s = DrawnSample(indices=np.arange(0, n_pop, 3), pi=np.full(50, 1 / 3))
         spec = ForestSpec(n_trees=5, min_leaf=5, n_split_features=2)
         forest = fit_forest(s, pop.x[s.indices], pop.y[s.indices], spec, substream(seed, 8))
-        whole = forest_ma_estimate(pop, s, forest)
+        whole = model_assisted(s, pop, forest)
         per_tree = [
             model_assisted(s, pop, tree_predictor(tree)).t_hat for tree in forest.params["trees"]
         ]
@@ -256,7 +345,7 @@ class TestForest:
         pop = FinitePopulation(ids=np.arange(1, n_pop + 1), x=x, y=y)
         s = DrawnSample(indices=np.arange(0, 60, 2), pi=np.full(30, 0.5))
         forest = fit_forest(s, pop.x[s.indices], pop.y[s.indices], ForestSpec(n_trees=3, min_leaf=4), substream(9, 2))
-        assert forest_ma_estimate(pop, s, forest).t_hat == pytest.approx(n_pop * 4.2, rel=1e-12)
+        assert model_assisted(s, pop, forest).t_hat == pytest.approx(n_pop * 4.2, rel=1e-12)
 
     def test_forced_features_always_candidates(self):
         # y depends only on the last feature; with one random candidate per
@@ -271,6 +360,30 @@ class TestForest:
         for tree in forest.params["trees"]:
             assert isinstance(tree, Split)
             assert tree.feature == 5
+
+    def test_bagged_forest_equals_per_feature_loop(self, monkeypatch):
+        rng = substream(12, 51)
+        n = 90
+        x = np.round(rng.normal(0.0, 1.0, (n, 7)) * 2.0)
+        x[:, 6] = x[:, 1]
+        y = np.abs(x[:, 0]) + x[:, 1] + rng.normal(0.0, 0.5, n)
+        s = _sample(n, seed=12)
+        spec = ForestSpec(n_trees=6, min_leaf=3, n_split_features=2, forced_features=(4,), weighted_bootstrap=True)
+        vectorised = fit_forest(s, x, y, spec, substream(12, 3)).params["trees"]
+        monkeypatch.setattr(trees, "best_split", _loop_split)
+        looped = fit_forest(s, x, y, spec, substream(12, 3)).params["trees"]
+        assert vectorised == looped
+        assert any(isinstance(tree, Split) for tree in looped)
+
+    @pytest.mark.parametrize("forced", [(9,), (-1,), (2, 6), (2.5,), ("5",)])
+    def test_forced_features_out_of_range_rejected(self, forced):
+        s, x, y = self._data(5)
+        x = np.hstack([x, x[:, :2]])
+        spec = ForestSpec(n_trees=2, min_leaf=5, n_split_features=2, forced_features=forced)
+        with pytest.raises(ParameterError, match=r"forced_features.*\[0, 6\)"):
+            fit_forest(s, x, y, spec, substream(5, 1))
+        with pytest.raises(ParameterError, match="forced_features"):
+            grow_tree(s, x, y, 5, substream(5, 1), 2, forced)
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
