@@ -21,7 +21,6 @@ from .montecarlo import (
     McScenario,
     load_scenario,
     read_report,
-    register_method,
     run_scenario,
     sweep_dnoise,
     write_report,

@@ -28,7 +28,7 @@ class PcrSpec:
         if self.n_components is not None and self.n_components < 1:
             raise ParameterError("n_components must be at least 1")
         if self.rule is not None and self.rule not in PCR_RULES:
-            raise ParameterError(f"unknown rule {self.rule!r}")
+            raise ParameterError(f"'rule' must be one of {', '.join(PCR_RULES)}, not {self.rule!r}")
 
     def resolve(self, n_features: int) -> int:
         if self.n_components is not None:

@@ -76,13 +76,13 @@ def model_assisted(
     bad = np.flatnonzero(~np.isfinite(fitted))
     if bad.size:
         raise PredictorError(f"{predictor.method!r} prediction for unit {bad[0]} is not finite")
+    fit_total = float(fitted.sum())
     correction = float(np.sum((pop.y[sample.indices] - fitted[sample.indices]) * sample.weights))
-    t_hat = float(fitted.sum()) + correction
     return MAEstimate(
-        t_hat=t_hat,
+        t_hat=fit_total + correction,
         method=predictor.method,
         n_used=sample.n,
-        diagnostics={"fit_total": float(fitted.sum()), "sample_correction": correction},
+        diagnostics={"fit_total": fit_total, "sample_correction": correction},
     )
 
 

@@ -16,7 +16,7 @@ import math
 import numbers
 import os
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .baselines import PcrSpec, fit_knn, fit_pcr
 from .errors import LoadError, ParameterError, RunError, SvyestError
-from .estimators import FittedPredictor, fit_greg
+from .estimators import fit_greg, horvitz_thompson, model_assisted
 from .penalized import (
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOL,
@@ -43,7 +43,7 @@ from .population import (
     generate_survey_variable,
     load_population,
 )
-from .sampling import DrawnSample, SamplingDesign, Srswor, StratifiedSrs, draw, substream
+from .sampling import SamplingDesign, Srswor, StratifiedSrs, draw, substream
 from .trees import ForestSpec, fit_forest, grow_tree, tree_predictor
 
 REPORT_HEADER = ("method", "d_noise", "rb_percent", "re_percent", "mse", "r", "seed")
@@ -53,14 +53,10 @@ FAILURE_SHARE_LIMIT = 0.01
 
 HT_METHOD = "ht"
 
-#: Signature of a per-replicate estimator: (sample, x on sample, y on sample,
-#: x over the population, method rng) -> estimated total.
-Fitter = Callable[[DrawnSample, np.ndarray, np.ndarray, np.ndarray, np.random.Generator], float]
-
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """One roster entry: a registered method plus its hyperparameters."""
+    """One roster entry: a method name from ``METHODS`` plus its settings."""
 
     method: str
     name: str | None = None
@@ -69,6 +65,238 @@ class EstimatorSpec:
     @property
     def label(self) -> str:
         return self.name if self.name is not None else self.method
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+#: A rule is (test, description of the values it accepts).
+_Rule = tuple[Callable[[Any], bool], str]
+
+_BOOL: _Rule = (lambda v: isinstance(v, bool), "true or false")
+_POSITIVE: _Rule = (lambda v: _is_real(v) and 0 < v < math.inf, "a finite positive number")
+
+
+def _count(low: int = 1) -> _Rule:
+    return (lambda v: _is_int(v) and v >= low, f"an integer of at least {low}")
+
+
+def _or(words: tuple[str | None, ...], rule: _Rule) -> _Rule:
+    ok, expected = rule
+    names = ", ".join("null" if w is None else f'"{w}"' for w in words)
+    return (lambda v: v in words or ok(v), f"{names} or {expected}")
+
+
+def _check(settings, **rules: _Rule) -> None:
+    for name, (ok, expected) in rules.items():
+        value = getattr(settings, name)
+        if not ok(value):
+            raise ParameterError(f"{name!r} must be {expected}, not {value!r}")
+
+
+# Each method is a frozen dataclass of its settings, checked on construction.
+# Calling it with (sample, x on the sample, y on the sample, the working
+# population, the method's rng) returns the estimated total.
+
+
+@dataclass(frozen=True)
+class Ht:
+    def __call__(self, sample, xs, ys, working, rng) -> float:
+        return horvitz_thompson(sample, ys).t_hat
+
+
+@dataclass(frozen=True)
+class Greg:
+    intercept: bool = True
+
+    def __post_init__(self):
+        _check(self, intercept=_BOOL)
+
+    def __call__(self, sample, xs, ys, working, rng) -> float:
+        return model_assisted(sample, working, fit_greg(sample, xs, ys, intercept=self.intercept)).t_hat
+
+
+@dataclass(frozen=True)
+class Lasso:
+    """Penalized regression; ``lam`` (and ``alpha``) "cv" are chosen by cross-validation."""
+
+    lam: float | str = "cv"
+    alpha: float | str = 1.0
+    cv_folds: int = 10
+    cv_lambdas: int = 100
+    lambda_min_ratio: float = 1e-4
+    cv_weighted_loss: bool = True
+    tol: float = DEFAULT_TOL
+    # ranking penalties does not need full coefficient precision
+    cv_tol: float = 1e-4
+    cv_patience: int | None = None
+    max_iter: int = DEFAULT_MAX_SWEEPS
+
+    def __post_init__(self):
+        _check(
+            self,
+            lam=_or(("cv",), (lambda v: _is_real(v) and 0 <= v < math.inf, "a finite nonnegative number")),
+            alpha=_or(("cv",), (lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]")),
+            cv_folds=_count(2),
+            cv_lambdas=_count(),
+            lambda_min_ratio=_POSITIVE,
+            cv_weighted_loss=_BOOL,
+            tol=_POSITIVE,
+            cv_tol=_POSITIVE,
+            cv_patience=_or((None,), _count()),
+            max_iter=_count(),
+        )
+        if self.alpha == "cv" and self.lam != "cv":
+            raise ParameterError("'alpha' \"cv\" needs 'lam' \"cv\"")
+
+    def __call__(self, sample, xs, ys, working, rng) -> float:
+        if self.lam == "cv":
+            alpha_grid = None if self.alpha == "cv" else (float(self.alpha),)
+            penalty = cross_validate(
+                sample, xs, ys, alpha_grid=alpha_grid, folds=self.cv_folds, rng=rng,
+                weighted_loss=self.cv_weighted_loss, n_lambdas=self.cv_lambdas,
+                lambda_min_ratio=float(self.lambda_min_ratio), patience=self.cv_patience,
+                tol=float(self.cv_tol), max_iter=self.max_iter,
+            )
+        else:
+            penalty = PenaltySpec(lam=float(self.lam), alpha=float(self.alpha))
+        if penalty.alpha == 0.0:
+            predictor = fit_ridge(sample, xs, ys, penalty.lam)
+        else:
+            predictor = fit_elastic_net(sample, xs, ys, penalty, tol=float(self.tol), max_iter=self.max_iter)
+        return model_assisted(sample, working, predictor).t_hat
+
+
+@dataclass(frozen=True)
+class Ridge(Lasso):
+    alpha: float | str = 0.0
+
+
+@dataclass(frozen=True)
+class ElasticNet(Lasso):
+    alpha: float | str = 0.5
+
+
+@dataclass(frozen=True)
+class Tree:
+    min_leaf: int = 5
+
+    def __post_init__(self):
+        _check(self, min_leaf=_count())
+
+    def __call__(self, sample, xs, ys, working, rng) -> float:
+        return model_assisted(sample, working, tree_predictor(grow_tree(sample, xs, ys, self.min_leaf))).t_hat
+
+
+@dataclass(frozen=True)
+class Forest:
+    """``min_leaf`` "n_13_20" is ceil(n^(13/20)); ``n_split_features`` "sqrt",
+    "third" and "all" are floor(sqrt(p)), max(1, p // 3) and p."""
+
+    n_trees: int = 1000
+    min_leaf: int | str = 5
+    n_split_features: int | str = "sqrt"
+    bootstrap: bool = True
+    forced_features: tuple[int, ...] = ()
+    weighted_bootstrap: bool = False
+
+    def __post_init__(self):
+        _check(
+            self,
+            n_trees=_count(),
+            min_leaf=_or(("n_13_20",), _count()),
+            n_split_features=_or(("sqrt", "third", "all"), _count()),
+            bootstrap=_BOOL,
+            forced_features=(
+                lambda v: isinstance(v, (list, tuple)) and all(_is_int(f) and f >= 0 for f in v),
+                "a list of nonnegative integers",
+            ),
+            weighted_bootstrap=_BOOL,
+        )
+        object.__setattr__(self, "forced_features", tuple(self.forced_features))
+
+    def __call__(self, sample, xs, ys, working, rng) -> float:
+        p = xs.shape[1]
+        named = {"sqrt": None, "third": max(1, p // 3), "all": p}
+        split = named.get(self.n_split_features, self.n_split_features)
+        leaf = math.ceil(sample.n ** (13 / 20)) if self.min_leaf == "n_13_20" else self.min_leaf
+        spec = ForestSpec(
+            n_trees=self.n_trees, min_leaf=leaf, n_split_features=split, bootstrap=self.bootstrap,
+            forced_features=self.forced_features, weighted_bootstrap=self.weighted_bootstrap,
+        )
+        return model_assisted(sample, working, fit_forest(sample, xs, ys, spec, rng)).t_hat
+
+
+@dataclass(frozen=True)
+class Knn:
+    k: int = 5
+    weighted: bool = False
+
+    def __post_init__(self):
+        _check(self, k=_count(), weighted=_BOOL)
+
+    def __call__(self, sample, xs, ys, working, rng) -> float:
+        return model_assisted(sample, working, fit_knn(sample, xs, ys, self.k, weighted=self.weighted)).t_hat
+
+
+@dataclass(frozen=True)
+class Pcr:
+    """Keeps ``n_components`` components, or as many as ``rule`` gives; one component by default."""
+
+    n_components: int | None = None
+    rule: str | None = None
+    spec: PcrSpec = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        text = (lambda v: isinstance(v, str), "text")
+        _check(self, n_components=_or((None,), _count()), rule=_or((None,), text))
+        if self.rule is not None and self.n_components is not None:
+            raise ParameterError("'rule' and 'n_components' exclude each other")
+        if self.rule is None:
+            spec = PcrSpec(n_components=1 if self.n_components is None else self.n_components)
+        else:
+            spec = PcrSpec(rule=self.rule)
+        object.__setattr__(self, "spec", spec)
+
+    def __call__(self, sample, xs, ys, working, rng) -> float:
+        return model_assisted(sample, working, fit_pcr(sample, xs, ys, self.spec)).t_hat
+
+
+#: Method name -> settings class.  Its fields are the keys a roster entry takes.
+METHODS: dict[str, type] = {
+    HT_METHOD: Ht,
+    "greg": Greg,
+    "ridge": Ridge,
+    "lasso": Lasso,
+    "en": ElasticNet,
+    "tree": Tree,
+    "forest": Forest,
+    "knn": Knn,
+    "pcr": Pcr,
+}
+
+
+def _parse(spec: EstimatorSpec):
+    """The checked settings object of a roster entry."""
+    if spec.method not in METHODS:
+        raise ParameterError(f"no such method {spec.method!r}")
+    settings = METHODS[spec.method]
+    accepted = sorted(f.name for f in fields(settings) if f.init)
+    for key in spec.params:
+        if key not in accepted:
+            raise ParameterError(
+                f"estimator {spec.label!r}: method {spec.method!r} has no parameter {key!r} "
+                f"(it accepts: {', '.join(accepted) or 'none'})"
+            )
+    try:
+        return settings(**spec.params)
+    except ParameterError as exc:
+        raise ParameterError(f"estimator {spec.label!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -97,7 +325,8 @@ class McScenario:
 
     ``d_noise_levels`` lists how many extra auxiliary columns join the
     model's structural columns in the working matrix; ``run_scenario``
-    handles one level, ``sweep_dnoise`` stacks them.
+    handles one level, ``sweep_dnoise`` stacks them.  ``methods`` holds the
+    checked settings of each roster entry, in roster order.
     """
 
     population: FinitePopulation
@@ -108,6 +337,7 @@ class McScenario:
     master_seed: int
     model: DgpModel | None = None
     structural_columns: tuple[int, ...] | None = None
+    methods: tuple[Any, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
@@ -123,10 +353,7 @@ class McScenario:
         labels = [spec.label for spec in self.estimators]
         if len(set(labels)) != len(labels):
             raise ParameterError("estimator labels must be unique")
-        for spec in self.estimators:
-            if spec.method not in METHODS:
-                raise ParameterError(f"no such method {spec.method!r}")
-            _check_params(spec)
+        object.__setattr__(self, "methods", tuple(_parse(spec) for spec in self.estimators))
         structural = self.structural()
         budget = self.population.n_aux - len(structural)
         if not self.d_noise_levels:
@@ -135,6 +362,15 @@ class McScenario:
             if level < 0 or level > budget:
                 raise ParameterError(
                     f"d_noise level {level} outside [0, {budget}] for this population"
+                )
+        narrowest = len(structural) + min(self.d_noise_levels)
+        if narrowest < 1:
+            raise ParameterError("no structural columns and d_noise level 0 leave the working matrix empty")
+        for spec, method in zip(self.estimators, self.methods):
+            if isinstance(method, Forest) and any(f >= narrowest for f in method.forced_features):
+                raise ParameterError(
+                    f"estimator {spec.label!r}: 'forced_features' {method.forced_features} must be "
+                    f"below {narrowest}, the narrowest working matrix's column count"
                 )
 
     def structural(self) -> tuple[int, ...]:
@@ -152,246 +388,6 @@ class McScenario:
         return structural + tuple(extras[:level])
 
 
-def _ma_total(predictor: FittedPredictor, sample: DrawnSample, ys: np.ndarray, pop_xw: np.ndarray) -> float:
-    fitted = np.asarray(predictor.predict(pop_xw), dtype=float)
-    if not np.all(np.isfinite(fitted)):
-        raise RunError(f"{predictor.method} produced non-finite predictions")
-    return float(fitted.sum() + np.sum((ys - fitted[sample.indices]) * sample.weights))
-
-
-_HT_KEYS: frozenset[str] = frozenset()
-
-
-def _build_ht(params: Mapping) -> Fitter:
-    def fit(sample, xs, ys, pop_xw, rng):
-        return float(np.sum(ys * sample.weights))
-
-    return fit
-
-
-_GREG_KEYS = frozenset({"intercept"})
-
-
-def _build_greg(params: Mapping) -> Fitter:
-    intercept = bool(params.get("intercept", True))
-
-    def fit(sample, xs, ys, pop_xw, rng):
-        return _ma_total(fit_greg(sample, xs, ys, intercept=intercept), sample, ys, pop_xw)
-
-    return fit
-
-
-_PENALIZED_KEYS = frozenset(
-    {
-        "lam",
-        "alpha",
-        "cv_folds",
-        "cv_lambdas",
-        "lambda_min_ratio",
-        "cv_weighted_loss",
-        "tol",
-        "cv_tol",
-        "cv_patience",
-        "max_iter",
-    }
-)
-
-
-def _check_penalty(spec: EstimatorSpec) -> None:
-    """``lam`` is "cv" or a finite nonnegative number; ``alpha`` is "cv" or in [0, 1]."""
-    lam = spec.params.get("lam", "cv")
-    if lam != "cv" and not (_is_real(lam) and math.isfinite(lam) and lam >= 0):
-        raise ParameterError(
-            f"estimator {spec.label!r}: 'lam' must be \"cv\" or a finite nonnegative number, not {lam!r}"
-        )
-    if "alpha" not in spec.params:
-        return
-    alpha = spec.params["alpha"]
-    if alpha != "cv" and not (_is_real(alpha) and 0.0 <= alpha <= 1.0):
-        raise ParameterError(
-            f"estimator {spec.label!r}: 'alpha' must be \"cv\" or a number in [0, 1], not {alpha!r}"
-        )
-    if alpha == "cv" and lam != "cv":
-        raise ParameterError(f"estimator {spec.label!r}: 'alpha' \"cv\" needs 'lam' \"cv\"")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _build_penalized(default_alpha: float) -> Callable[[Mapping], Fitter]:
-    def build(params: Mapping) -> Fitter:
-        lam = params.get("lam", "cv")
-        alpha = params.get("alpha", default_alpha)
-        folds = int(params.get("cv_folds", 10))
-        n_lambdas = int(params.get("cv_lambdas", 100))
-        min_ratio = float(params.get("lambda_min_ratio", 1e-4))
-        weighted_loss = bool(params.get("cv_weighted_loss", True))
-        tol = float(params.get("tol", DEFAULT_TOL))
-        # ranking penalties does not need full coefficient precision
-        cv_tol = float(params.get("cv_tol", 1e-4))
-        patience = params.get("cv_patience")
-        patience = int(patience) if patience is not None else None
-        max_iter = int(params.get("max_iter", DEFAULT_MAX_SWEEPS))
-        alpha_grid = None if alpha == "cv" else (float(alpha),)
-
-        def fit(sample, xs, ys, pop_xw, rng):
-            if lam == "cv":
-                spec = cross_validate(
-                    sample,
-                    xs,
-                    ys,
-                    alpha_grid=alpha_grid,
-                    folds=folds,
-                    rng=rng,
-                    weighted_loss=weighted_loss,
-                    n_lambdas=n_lambdas,
-                    lambda_min_ratio=min_ratio,
-                    patience=patience,
-                    tol=cv_tol,
-                    max_iter=max_iter,
-                )
-            else:
-                spec = PenaltySpec(lam=float(lam), alpha=float(alpha))
-            if spec.alpha == 0.0:
-                predictor = fit_ridge(sample, xs, ys, spec.lam)
-            else:
-                predictor = fit_elastic_net(sample, xs, ys, spec, tol=tol, max_iter=max_iter)
-            return _ma_total(predictor, sample, ys, pop_xw)
-
-        return fit
-
-    return build
-
-
-_TREE_KEYS = frozenset({"min_leaf"})
-
-
-def _build_tree(params: Mapping) -> Fitter:
-    min_leaf = int(params.get("min_leaf", 5))
-
-    def fit(sample, xs, ys, pop_xw, rng):
-        tree = grow_tree(sample, xs, ys, min_leaf)
-        return _ma_total(tree_predictor(tree), sample, ys, pop_xw)
-
-    return fit
-
-
-_FOREST_KEYS = frozenset(
-    {"n_trees", "min_leaf", "n_split_features", "bootstrap", "forced_features", "weighted_bootstrap"}
-)
-
-
-def _build_forest(params: Mapping) -> Fitter:
-    split = params.get("n_split_features", "sqrt")
-    min_leaf = params.get("min_leaf", 5)
-
-    def fit(sample, xs, ys, pop_xw, rng):
-        p = xs.shape[1]
-        if split == "sqrt":
-            k = None
-        elif split == "third":
-            k = max(1, p // 3)
-        elif split == "all":
-            k = p
-        else:
-            k = int(split)
-        if min_leaf == "n_13_20":
-            leaf = math.ceil(sample.n ** (13 / 20))
-        else:
-            leaf = int(min_leaf)
-        spec = ForestSpec(
-            n_trees=int(params.get("n_trees", 1000)),
-            min_leaf=leaf,
-            n_split_features=k,
-            bootstrap=bool(params.get("bootstrap", True)),
-            forced_features=tuple(params.get("forced_features", ())),
-            weighted_bootstrap=bool(params.get("weighted_bootstrap", False)),
-        )
-        forest = fit_forest(sample, xs, ys, spec, rng)
-        return _ma_total(forest, sample, ys, pop_xw)
-
-    return fit
-
-
-_KNN_KEYS = frozenset({"k", "weighted"})
-
-
-def _build_knn(params: Mapping) -> Fitter:
-    k = int(params.get("k", 5))
-    weighted = bool(params.get("weighted", False))
-
-    def fit(sample, xs, ys, pop_xw, rng):
-        return _ma_total(fit_knn(sample, xs, ys, k, weighted=weighted), sample, ys, pop_xw)
-
-    return fit
-
-
-_PCR_KEYS = frozenset({"rule", "n_components"})
-
-
-def _build_pcr(params: Mapping) -> Fitter:
-    if "rule" in params:
-        spec = PcrSpec(rule=params["rule"])
-    else:
-        spec = PcrSpec(n_components=int(params.get("n_components", 1)))
-
-    def fit(sample, xs, ys, pop_xw, rng):
-        return _ma_total(fit_pcr(sample, xs, ys, spec), sample, ys, pop_xw)
-
-    return fit
-
-
-METHODS: dict[str, Callable[[Mapping], Fitter]] = {
-    HT_METHOD: _build_ht,
-    "greg": _build_greg,
-    "ridge": _build_penalized(0.0),
-    "lasso": _build_penalized(1.0),
-    "en": _build_penalized(0.5),
-    "tree": _build_tree,
-    "forest": _build_forest,
-    "knn": _build_knn,
-    "pcr": _build_pcr,
-}
-
-
-#: Parameter keys of the built-in methods.  Methods added through
-#: ``register_method`` are not checked.
-_ACCEPTED_KEYS: dict[str, frozenset[str]] = {
-    HT_METHOD: _HT_KEYS,
-    "greg": _GREG_KEYS,
-    "ridge": _PENALIZED_KEYS,
-    "lasso": _PENALIZED_KEYS,
-    "en": _PENALIZED_KEYS,
-    "tree": _TREE_KEYS,
-    "forest": _FOREST_KEYS,
-    "knn": _KNN_KEYS,
-    "pcr": _PCR_KEYS,
-}
-
-
-def _check_params(spec: EstimatorSpec) -> None:
-    accepted = _ACCEPTED_KEYS.get(spec.method)
-    if accepted is None:
-        return
-    for key in spec.params:
-        if key not in accepted:
-            raise ParameterError(
-                f"estimator {spec.label!r}: method {spec.method!r} has no parameter {key!r} "
-                f"(it accepts: {', '.join(sorted(accepted)) or 'none'})"
-            )
-    if accepted is _PENALIZED_KEYS:
-        _check_penalty(spec)
-
-
-def register_method(name: str, builder: Callable[[Mapping], Fitter], *, replace_existing: bool = False) -> None:
-    """Add a custom estimator to the roster registry."""
-    if name in METHODS and not replace_existing:
-        raise ParameterError(f"method {name!r} already registered")
-    METHODS[name] = builder
-    _ACCEPTED_KEYS.pop(name, None)
-
-
 def _method_stream_key(label: str) -> int:
     # Stable across runs and platforms, unlike hash().
     return zlib.crc32(label.encode("utf-8"))
@@ -399,22 +395,19 @@ def _method_stream_key(label: str) -> int:
 
 def _run_replicates(scenario: McScenario, level: int, reps: Sequence[int]):
     pop = scenario.population
-    columns = list(scenario.working_columns(level))
-    pop_xw = pop.x[:, columns]
-    roster = scenario.estimators
-    fitters = [METHODS[spec.method](spec.params) for spec in roster]
-    keys = [_method_stream_key(spec.label) for spec in roster]
-    estimates = np.full((len(reps), len(roster)), np.nan)
+    working = replace(pop, x=pop.x[:, list(scenario.working_columns(level))])
+    keys = [_method_stream_key(spec.label) for spec in scenario.estimators]
+    estimates = np.full((len(reps), len(keys)), np.nan)
     messages: list[list[str | None]] = []
     for row, r in enumerate(reps):
         sample = draw(scenario.design, pop, substream(scenario.master_seed, r))
-        xs = pop.x[np.ix_(sample.indices, columns)]
+        xs = working.x[sample.indices]
         ys = pop.y[sample.indices]
-        msg_row: list[str | None] = [None] * len(roster)
-        for m, fitter in enumerate(fitters):
+        msg_row: list[str | None] = [None] * len(keys)
+        for m, method in enumerate(scenario.methods):
             rng = substream(scenario.master_seed, r, keys[m])
             try:
-                estimates[row, m] = fitter(sample, xs, ys, pop_xw, rng)
+                estimates[row, m] = method(sample, xs, ys, working, rng)
             except (SvyestError, np.linalg.LinAlgError) as exc:
                 msg_row[m] = f"replicate {r}: {exc}"
         messages.append(msg_row)

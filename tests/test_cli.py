@@ -63,6 +63,17 @@ class TestSimulate:
         assert "'lam'" in err and "Traceback" not in err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_bad_forest_rule_is_runtime_error(self, tmp_path, capsys):
+        config = json.loads(_scenario_config(tmp_path).read_text())
+        config["estimators"] = [{"method": "forest", "n_trees": 2, "n_split_features": "Sqrt"}]
+        bad = tmp_path / "wrong_case.json"
+        bad.write_text(json.dumps(config))
+        code = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'forest'" in err and "'n_split_features'" in err and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestReport:
     def test_pivot_by_dnoise_shape(self, tmp_path):

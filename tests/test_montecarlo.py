@@ -1,6 +1,11 @@
 import concurrent.futures
 import ctypes
+import itertools
 import json
+import re
+from dataclasses import dataclass, field, fields
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -19,15 +24,16 @@ from svyest import (
     assign_strata_by_quantile,
     generate_auxiliary,
     generate_survey_variable,
+    horvitz_thompson,
     load_scenario,
     read_report,
-    register_method,
     run_scenario,
     sweep_dnoise,
     write_report,
 )
 from svyest.errors import SvyestError
 from svyest import montecarlo
+from svyest.baselines import PcrSpec
 from svyest.montecarlo import REPORT_HEADER
 
 
@@ -48,44 +54,47 @@ def _scenario(pop, roster, levels=(0,), reps=6, seed=2024, design=None):
     )
 
 
-def _register_stubs():
-    def oracle_builder(params):
-        def fit(sample, xs, ys, pop_xw, rng):
-            return float(params["t_y"])
+@dataclass(frozen=True)
+class _Oracle:
+    """Returns the total it is given."""
 
-        return fit
+    t_y: float = 0.0
 
-    def sequence_builder(params):
-        values = iter(params["values"])
-
-        def fit(sample, xs, ys, pop_xw, rng):
-            return float(next(values))
-
-        return fit
-
-    def flaky_builder(params):
-        state = {"count": 0}
-
-        def fit(sample, xs, ys, pop_xw, rng):
-            state["count"] += 1
-            if state["count"] % int(params.get("every", 2)) == 0:
-                raise SvyestError("synthetic failure")
-            return float(np.sum(ys * sample.weights))
-
-        return fit
-
-    for name, builder in (
-        ("stub_oracle", oracle_builder),
-        ("stub_sequence", sequence_builder),
-        ("stub_flaky", flaky_builder),
-    ):
-        try:
-            register_method(name, builder)
-        except ParameterError:
-            pass
+    def __call__(self, sample, xs, ys, working, rng):
+        return float(self.t_y)
 
 
-_register_stubs()
+@dataclass(frozen=True)
+class _Sequence:
+    """Returns the given values in turn, one per replicate."""
+
+    values: tuple = ()
+    calls: Iterator[int] = field(default_factory=itertools.count, init=False, compare=False)
+
+    def __call__(self, sample, xs, ys, working, rng):
+        return float(self.values[next(self.calls)])
+
+
+@dataclass(frozen=True)
+class _Flaky:
+    """Horvitz-Thompson that fails on every ``every``-th call."""
+
+    every: int = 2
+    calls: Iterator[int] = field(default_factory=lambda: itertools.count(1), init=False, compare=False)
+
+    def __call__(self, sample, xs, ys, working, rng):
+        if next(self.calls) % self.every == 0:
+            raise SvyestError("synthetic failure")
+        return horvitz_thompson(sample, ys).t_hat
+
+
+_STUBS = {"stub_oracle": _Oracle, "stub_sequence": _Sequence, "stub_flaky": _Flaky}
+
+
+@pytest.fixture(autouse=True)
+def _stub_methods(monkeypatch):
+    for name, settings in _STUBS.items():
+        monkeypatch.setitem(montecarlo.METHODS, name, settings)
 
 
 def _row(report, method, level=None):
@@ -167,6 +176,11 @@ class TestRunScenario:
         with pytest.raises(ParameterError, match="d_noise"):
             _scenario(pop, [EstimatorSpec("greg")], levels=(3,))
 
+    def test_empty_working_matrix_rejected(self):
+        pop = _make_population()
+        with pytest.raises(ParameterError, match="working matrix empty"):
+            McScenario(pop, Srswor(12), (EstimatorSpec("ht"),), (0, 2), 3, 1, structural_columns=())
+
 
 class TestParameterChecks:
     def _write(self, tmp_path, entry):
@@ -202,10 +216,11 @@ class TestParameterChecks:
         with pytest.raises(ParameterError, match=f"'{method}'.*'{key}'"):
             _scenario(pop, [EstimatorSpec(method, params={key: 1})])
 
-    def test_registered_methods_not_checked(self):
-        _register_stubs()
+    def test_added_methods_are_checked(self):
         pop = _make_population()
-        _scenario(pop, [EstimatorSpec("stub_oracle", params={"t_y": 1.0, "anything": 2})])
+        _scenario(pop, [EstimatorSpec("stub_oracle", params={"t_y": 1.0})])
+        with pytest.raises(ParameterError, match="'stub_oracle'.*'anything'"):
+            _scenario(pop, [EstimatorSpec("stub_oracle", params={"t_y": 1.0, "anything": 2})])
 
     @pytest.mark.parametrize(
         "params, key",
@@ -240,6 +255,110 @@ class TestParameterChecks:
         path = self._write(tmp_path, {"method": "lasso", "lam": "CV"})
         with pytest.raises(ParameterError, match="'lam'"):
             load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "method, params, key",
+        [
+            ("forest", {"n_split_features": "Sqrt"}, "n_split_features"),
+            ("forest", {"min_leaf": "n13_20"}, "min_leaf"),
+            ("knn", {"k": "five"}, "k"),
+            ("forest", {"bootstrap": "false"}, "bootstrap"),
+            ("knn", {"weighted": "false"}, "weighted"),
+            ("greg", {"intercept": "false"}, "intercept"),
+            ("forest", {"n_trees": 2.7}, "n_trees"),
+            ("lasso", {"cv_folds": 3.5}, "cv_folds"),
+            ("pcr", {"rule": "P24", "n_components": 2}, "n_components"),
+            ("ridge", {"cv_folds": 1}, "cv_folds"),
+            ("tree", {"min_leaf": 0}, "min_leaf"),
+            ("forest", {"min_leaf": 0}, "min_leaf"),
+            ("forest", {"n_trees": True}, "n_trees"),
+            ("forest", {"weighted_bootstrap": 1}, "weighted_bootstrap"),
+            ("forest", {"forced_features": [-1]}, "forced_features"),
+            ("forest", {"forced_features": 0}, "forced_features"),
+            ("en", {"cv_weighted_loss": "true"}, "cv_weighted_loss"),
+            ("en", {"cv_patience": 0}, "cv_patience"),
+            ("en", {"cv_lambdas": 0}, "cv_lambdas"),
+            ("en", {"max_iter": 10.0}, "max_iter"),
+            ("en", {"tol": 0}, "tol"),
+            ("en", {"cv_tol": "1e-3"}, "cv_tol"),
+            ("en", {"lambda_min_ratio": 0.0}, "lambda_min_ratio"),
+            ("pcr", {"n_components": 0}, "n_components"),
+            ("pcr", {"n_components": 2.5}, "n_components"),
+            ("pcr", {"rule": "p24"}, "rule"),
+        ],
+    )
+    def test_bad_value_fails_when_built(self, tmp_path, method, params, key):
+        path = self._write(tmp_path, {"method": method, "name": "mine", **params})
+        with pytest.raises(ParameterError, match=f"estimator 'mine': .*'{key}'"):
+            load_scenario(path)
+
+    def test_forced_feature_must_fit_the_narrowest_level(self):
+        pop = _make_population(p=6)  # Y1 has 3 structural columns
+        for forced, ok in (([999], False), ([5], False), ([4], True)):
+            roster = [EstimatorSpec("forest", params={"n_trees": 2, "forced_features": forced})]
+            if ok:
+                assert _row(run_scenario(_scenario(pop, roster, levels=(2,), reps=2)), "forest").r == 2
+                continue
+            with pytest.raises(ParameterError, match="'forest'.*'forced_features'.*below 5"):
+                _scenario(pop, roster, levels=(2, 3))
+
+
+#: Every key of every built-in method with its default.
+_PENALIZED_DEFAULTS = {
+    "lam": "cv",
+    "alpha": 1.0,
+    "cv_folds": 10,
+    "cv_lambdas": 100,
+    "lambda_min_ratio": 1e-4,
+    "cv_weighted_loss": True,
+    "tol": 1e-7,
+    "cv_tol": 1e-4,
+    "cv_patience": None,
+    "max_iter": 10_000,
+}
+_BUILTIN_DEFAULTS = {
+    "ht": {},
+    "greg": {"intercept": True},
+    "ridge": {**_PENALIZED_DEFAULTS, "alpha": 0.0},
+    "lasso": _PENALIZED_DEFAULTS,
+    "en": {**_PENALIZED_DEFAULTS, "alpha": 0.5},
+    "tree": {"min_leaf": 5},
+    "forest": {
+        "n_trees": 1000,
+        "min_leaf": 5,
+        "n_split_features": "sqrt",
+        "bootstrap": True,
+        "forced_features": (),
+        "weighted_bootstrap": False,
+    },
+    "knn": {"k": 5, "weighted": False},
+    "pcr": {"n_components": None, "rule": None},
+}
+
+
+class TestBuiltinMethods:
+    def test_roster_names(self):
+        assert set(montecarlo.METHODS) - set(_STUBS) == set(_BUILTIN_DEFAULTS)
+
+    @pytest.mark.parametrize("method", sorted(_BUILTIN_DEFAULTS))
+    def test_keys_and_defaults(self, method):
+        settings = montecarlo.METHODS[method]()
+        keys = {f.name: getattr(settings, f.name) for f in fields(settings) if f.init}
+        assert keys == _BUILTIN_DEFAULTS[method]
+
+    def test_pcr_defaults_to_one_component(self):
+        assert montecarlo.METHODS["pcr"]().spec == PcrSpec(n_components=1)
+
+    def test_readme_scenario_builds(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Scenario files") :]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        path = tmp_path / "scenario.json"
+        path.write_text(block)
+        scenario = load_scenario(path)
+        documented = {entry["method"] for entry in json.loads(block)["estimators"]}
+        assert documented == set(_BUILTIN_DEFAULTS)
+        assert len(scenario.methods) == len(scenario.estimators)
 
 
 def _blas_threads():
@@ -336,11 +455,24 @@ class TestDeterminism:
         assert a.rows == b.rows
 
     def test_parallel_equals_serial(self):
+        # workers get the parsed settings by pickle and must give the serial rows
         pop = _make_population(p=8)
-        roster = [EstimatorSpec("greg"), EstimatorSpec("tree", params={"min_leaf": 4})]
-        serial = run_scenario(_scenario(pop, roster, reps=8), threads=1)
-        parallel = run_scenario(_scenario(pop, roster, reps=8), threads=2)
+        cv = {"cv_folds": 3, "cv_lambdas": 6}
+        roster = [
+            EstimatorSpec("greg"),
+            EstimatorSpec("tree", params={"min_leaf": 4}),
+            EstimatorSpec("lasso", params=cv),
+            EstimatorSpec("en", params={**cv, "cv_patience": 2}),
+            EstimatorSpec("forest", params={"n_trees": 2, "min_leaf": "n_13_20", "n_split_features": "third"}),
+            EstimatorSpec("knn", params={"k": 3, "weighted": True}),
+            EstimatorSpec("pcr", params={"rule": "P24"}),
+        ]
+        serial = run_scenario(_scenario(pop, roster, levels=(2,), reps=8), threads=1)
+        parallel = run_scenario(_scenario(pop, roster, levels=(2,), reps=8), threads=2)
         assert serial.rows == parallel.rows
+        assert not serial.failures
+        for key, column in serial.estimates.items():
+            assert column.tobytes() == parallel.estimates[key].tobytes()
 
     def test_sample_stream_ignores_roster(self):
         pop = _make_population(p=8)
