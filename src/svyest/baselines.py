@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .estimators import FittedPredictor, fit_greg
+from .estimators import FittedPredictor, _check_sample_xy, fit_greg
 from .penalized import Standardization
 from .sampling import DrawnSample
 
@@ -50,10 +50,7 @@ def fit_knn(
     neighbour mean is unweighted unless ``weighted`` switches it to the
     design-weighted mean.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != sample.n or y.shape != (sample.n,):
-        raise ParameterError("x and y must be aligned with the sample")
+    x, y = _check_sample_xy(sample, x, y)
     if not 1 <= k <= sample.n:
         raise ParameterError(f"need 1 <= k <= {sample.n}, got {k}")
     std = Standardization.fit(x, sample.weights)
@@ -93,10 +90,7 @@ def fit_pcr(sample: DrawnSample, x: np.ndarray, y: np.ndarray, spec: PcrSpec) ->
     positive.  Scores plus an intercept go through the weighted least-squares
     fit, and queries pass through the identical transform.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != sample.n or y.shape != (sample.n,):
-        raise ParameterError("x and y must be aligned with the sample")
+    x, y = _check_sample_xy(sample, x, y)
     d = sample.weights
     std = Standardization.fit(x, d)
     u = std.transform(x)

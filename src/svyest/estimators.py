@@ -7,7 +7,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError, PredictorError, SingularMatrixError
-from .population import FinitePopulation
+from .population import FinitePopulation, array_eq
 from .sampling import DrawnSample
 
 #: Relative condition number above which weighted Gram matrices are rejected.
@@ -27,6 +27,19 @@ class FittedPredictor:
     predict: Callable[[np.ndarray], np.ndarray]
     params: Mapping[str, Any] = field(default_factory=dict)
     diagnostics: Mapping[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class LinearPredictor:
+    """The linear surface ``intercept + x @ coef``; plain values, so it pickles."""
+
+    coef: np.ndarray
+    intercept: float = 0.0
+
+    __eq__ = array_eq
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.intercept + np.atleast_2d(np.asarray(x, dtype=float)) @ self.coef
 
 
 @dataclass(frozen=True)
@@ -86,6 +99,14 @@ def model_assisted(
     )
 
 
+def _check_sample_xy(sample: DrawnSample, x: np.ndarray, y: np.ndarray):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if x.shape[0] != sample.n or y.shape != (sample.n,):
+        raise ParameterError("x and y must be aligned with the sample")
+    return x, y
+
+
 def _weighted_gram(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     return x.T @ (x * d[:, None])
 
@@ -112,10 +133,7 @@ def fit_greg(
     Solves the weighted normal equations with weights 1 / pi; an intercept
     column is prepended when flagged and is never standardised.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != sample.n or y.shape != (sample.n,):
-        raise ParameterError("x and y must be aligned with the sample")
+    x, y = _check_sample_xy(sample, x, y)
     design = np.column_stack([np.ones(sample.n), x]) if intercept else x
     d = sample.weights
     gram = _weighted_gram(design, d)
@@ -127,13 +145,9 @@ def fit_greg(
     else:
         intercept_term, slopes = 0.0, beta
 
-    def predict(xnew: np.ndarray) -> np.ndarray:
-        xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
-        return intercept_term + xnew @ slopes
-
     return FittedPredictor(
         method="greg",
-        predict=predict,
+        predict=LinearPredictor(slopes, intercept_term),
         params={"beta": beta, "coef": slopes, "intercept": intercept_term if intercept else None},
         diagnostics={"cond": cond, "n_features": float(x.shape[1])},
     )

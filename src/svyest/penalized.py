@@ -15,17 +15,24 @@ sweeps over the active set.  The tracked objective is
 0.5 * lam * (1 - alpha) * |b|_2^2``, whose exact coordinate minimiser is the
 update above; it is non-increasing across sweeps and steps and checked on
 every fit.
+
+One ``_Problem`` per sample and per cross-validation training fold holds the
+standardized, root-weighted Gram ``xt'xt`` with ``xt'yt`` and ``yt'yt``; the
+ridge solve, the descent, the penalty path and cross-validation all work
+from it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .estimators import FittedPredictor, _guard_condition, _weighted_gram
+from .estimators import FittedPredictor, LinearPredictor, _check_sample_xy, _guard_condition, _weighted_gram
+from .population import array_eq
 from .sampling import DrawnSample
 
 DEFAULT_ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -68,6 +75,8 @@ class Standardization:
     scale: np.ndarray
     kept: np.ndarray
 
+    __eq__ = array_eq
+
     @classmethod
     def fit(cls, x: np.ndarray, weights: np.ndarray, *, center: bool = True, scale: bool = True):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -103,12 +112,42 @@ def soft_threshold(z, lam):
     return np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
 
 
-def _check_sample_xy(sample: DrawnSample, x: np.ndarray, y: np.ndarray):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != sample.n or y.shape != (sample.n,):
-        raise ParameterError("x and y must be aligned with the sample")
-    return x, y
+class _Problem:
+    """Design-weighted least squares on standardized, root-weighted columns.
+
+    Holds ``gram = xt'xt``, ``xty = xt'yt`` and ``yty = yt'yt`` for
+    ``xt = sqrt(d) * u`` with u the standardized columns and
+    ``yt = sqrt(d) * (y - ybar)``.  With ``intercept_column`` the intercept
+    joins the penalty as an explicit leading ``sqrt(d)`` column, and y is not
+    centred.
+    """
+
+    def __init__(self, x, y, d, *, standardize: bool, intercept: bool, intercept_column: bool = False):
+        self.std = Standardization.fit(x, d, center=intercept, scale=standardize)
+        self.intercept_column = intercept_column
+        self.ybar = float((d / d.sum()) @ y) if intercept and not intercept_column else 0.0
+        sw = np.sqrt(d)
+        xt = self.std.transform(x) * sw[:, None]
+        if intercept_column:
+            xt = np.column_stack([sw, xt])
+        yt = (y - self.ybar) * sw
+        self.gram = xt.T @ xt
+        self.xty = xt.T @ yt
+        self.yty = float(yt @ yt)
+
+    @cached_property
+    def spectrum(self):
+        """``eigh`` of the Gram and ``xty`` in its eigenbasis: ridge at any penalty."""
+        evals, evecs = np.linalg.eigh(self.gram)
+        return evals, evecs, evecs.T @ self.xty
+
+    def raw(self, beta: np.ndarray) -> tuple[np.ndarray, float]:
+        """Raw-coordinate (coef, intercept) of a solution on the problem's columns."""
+        b0 = self.ybar
+        if self.intercept_column:
+            b0, beta = float(beta[0]), beta[1:]
+        coef = self.std.expand(beta)
+        return coef, b0 - float(self.std.center @ coef)
 
 
 def fit_ridge(
@@ -131,32 +170,24 @@ def fit_ridge(
     if not (np.isfinite(lam) and lam >= 0):
         raise ParameterError("lam must be a nonnegative real")
     x, y = _check_sample_xy(sample, x, y)
-    d = sample.weights
-    std = Standardization.fit(x, d, center=intercept, scale=standardize)
-    u = std.transform(x)
-    ybar = float((d / d.sum()) @ y) if intercept else 0.0
-    gram = _weighted_gram(u, d)
+    problem = _Problem(x, y, sample.weights, standardize=standardize, intercept=intercept)
+    k = problem.xty.size
     cond = float("nan")
-    if lam == 0 and u.shape[1] > 0:
-        cond = _guard_condition(gram, "fit_ridge(lam=0)")
-    beta_std = np.linalg.solve(gram + lam * np.eye(u.shape[1]), u.T @ (d * (y - ybar)))
-    coef = std.expand(beta_std)
-    b0 = ybar - float(std.center @ coef)
+    if lam == 0 and k > 0:
+        cond = _guard_condition(problem.gram, "fit_ridge(lam=0)")
+    beta_std = np.linalg.solve(problem.gram + lam * np.eye(k), problem.xty)
+    coef, b0 = problem.raw(beta_std)
     if not np.all(np.isfinite(coef)):
         raise ParameterError("ridge solve produced non-finite coefficients")
 
-    def predict(xnew: np.ndarray) -> np.ndarray:
-        xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
-        return b0 + xnew @ coef
-
     return FittedPredictor(
         method="ridge",
-        predict=predict,
+        predict=LinearPredictor(coef, b0),
         params={
             "coef": coef,
             "intercept": b0 if intercept else None,
             "coef_std": beta_std,
-            "standardization": std,
+            "standardization": problem.std,
         },
         diagnostics={
             "lam": float(lam),
@@ -189,7 +220,7 @@ def ridge_weights(sample: DrawnSample, x: np.ndarray, tx: np.ndarray, lam: float
     return d * (1.0 + x @ adjustment)
 
 
-def _coordinate_descent(xt, yt, lam, alpha, tol, max_iter, beta0=None):
+def _cd_core(gram, xty, yty, lam, alpha, tol, max_iter, beta0=None):
     """Cyclic soft-threshold descent; returns (beta, sweeps, objective trace).
 
     Works off the cached Gram matrix: the gradient entry a coordinate needs
@@ -204,13 +235,6 @@ def _coordinate_descent(xt, yt, lam, alpha, tol, max_iter, beta0=None):
     moves no coefficient by ``tol`` or more; that sweep also brings in every
     inactive coordinate that violates its optimality condition.
     """
-    gram = xt.T @ xt
-    xty = xt.T @ yt
-    yty = float(yt @ yt)
-    return _cd_core(gram, xty, yty, lam, alpha, tol, max_iter, beta0)
-
-
-def _cd_core(gram, xty, yty, lam, alpha, tol, max_iter, beta0=None):
     k = xty.size
     col_ss = np.diag(gram).copy()
     ridge = lam * (1.0 - alpha)
@@ -358,42 +382,22 @@ def fit_elastic_net(
     if max_iter < 1:
         raise ParameterError("max_iter must be at least 1")
     x, y = _check_sample_xy(sample, x, y)
-    d = sample.weights
-    sw = np.sqrt(d)
-    std = Standardization.fit(x, d, center=intercept, scale=standardize)
-    u = std.transform(x)
-
-    if spec.penalize_intercept and intercept:
-        # The intercept joins the penalty: model it as an explicit unscaled
-        # coordinate instead of profiling it out.
-        xt = np.column_stack([sw, u * sw[:, None]])
-        yt = y * sw
-        beta_all, sweeps, trace = _coordinate_descent(xt, yt, spec.lam, spec.alpha, tol, max_iter)
-        b0_std, beta_std = float(beta_all[0]), beta_all[1:]
-        coef = std.expand(beta_std)
-        b0 = b0_std - float(std.center @ coef)
-        penalized = beta_all
-    else:
-        ybar = float((d / d.sum()) @ y) if intercept else 0.0
-        xt = u * sw[:, None]
-        yt = (y - ybar) * sw
-        beta_std, sweeps, trace = _coordinate_descent(xt, yt, spec.lam, spec.alpha, tol, max_iter)
-        coef = std.expand(beta_std)
-        b0 = ybar - float(std.center @ coef)
-        penalized = beta_std
-
-    def predict(xnew: np.ndarray) -> np.ndarray:
-        xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
-        return b0 + xnew @ coef
+    problem = _Problem(
+        x, y, sample.weights, standardize=standardize, intercept=intercept,
+        intercept_column=spec.penalize_intercept and intercept,
+    )
+    penalized, sweeps, trace = _cd_core(problem.gram, problem.xty, problem.yty, spec.lam, spec.alpha, tol, max_iter)
+    beta_std = penalized[1:] if problem.intercept_column else penalized
+    coef, b0 = problem.raw(penalized)
 
     return FittedPredictor(
         method="lasso" if spec.alpha == 1.0 else "en",
-        predict=predict,
+        predict=LinearPredictor(coef, b0),
         params={
             "coef": coef,
             "intercept": b0 if intercept else None,
             "coef_std": beta_std,
-            "standardization": std,
+            "standardization": problem.std,
             "objective_trace": tuple(trace),
         },
         diagnostics={
@@ -407,53 +411,17 @@ def fit_elastic_net(
     )
 
 
-def lambda_path(xt: np.ndarray, yt: np.ndarray, alpha: float, n_lambdas: int, min_ratio: float) -> np.ndarray:
+def lambda_path(xty: np.ndarray, alpha: float, n_lambdas: int, min_ratio: float) -> np.ndarray:
     """Log-spaced penalties from the all-zero threshold downward.
 
-    ``lambda_max = max_j |sum_i xt_ij yt_i| / max(alpha, 1e-3)`` is the
-    smallest penalty at which every slope is zero (for alpha > 0).
+    ``lambda_max = max_j |xty_j| / max(alpha, 1e-3)``, with ``xty = xt'yt``
+    on the root-weighted design, is the smallest penalty at which every slope
+    is zero (for alpha > 0).
     """
-    lam_max = float(np.max(np.abs(xt.T @ yt))) / max(alpha, _ALPHA_FLOOR)
+    lam_max = float(np.max(np.abs(xty))) / max(alpha, _ALPHA_FLOOR)
     if lam_max <= 0:
         lam_max = 1.0
     return np.geomspace(lam_max, lam_max * min_ratio, n_lambdas)
-
-
-class _FoldPath:
-    """Warm-started descending-penalty fits on one training fold.
-
-    Caches the transformed design and its Gram once; ``step(lam)`` returns the
-    raw-coordinate (coef, intercept) at that penalty.  For a pure quadratic
-    penalty one eigendecomposition serves the whole path.
-    """
-
-    def __init__(self, x, y, d, alpha, standardize, intercept, tol, max_iter):
-        self.alpha = alpha
-        self.tol = tol
-        self.max_iter = max_iter
-        self.std = Standardization.fit(x, d, center=intercept, scale=standardize)
-        sw = np.sqrt(d)
-        self.ybar = float((d / d.sum()) @ y) if intercept else 0.0
-        xt = self.std.transform(x) * sw[:, None]
-        yt = (y - self.ybar) * sw
-        self.gram = xt.T @ xt
-        self.xty = xt.T @ yt
-        self.yty = float(yt @ yt)
-        self.beta = None
-        if alpha == 0.0:
-            self.evals, self.evecs = np.linalg.eigh(self.gram)
-            self.projected = self.evecs.T @ self.xty
-
-    def step(self, lam):
-        if self.alpha == 0.0:
-            beta_std = self.evecs @ (self.projected / (self.evals + lam))
-        else:
-            beta_std, _, _ = _cd_core(
-                self.gram, self.xty, self.yty, lam, self.alpha, self.tol, self.max_iter, self.beta
-            )
-            self.beta = beta_std
-        coef = self.std.expand(beta_std)
-        return coef, self.ybar - float(self.std.center @ coef)
 
 
 def cross_validate(
@@ -507,32 +475,35 @@ def cross_validate(
     perm = rng.permutation(sample.n)
     fold_of = np.empty(sample.n, dtype=int)
     fold_of[perm] = np.arange(sample.n) % folds
+    problems, held_sets = [], []
+    for f in range(folds):
+        train = fold_of != f
+        held = np.flatnonzero(~train)
+        problems.append(_Problem(x[train], y[train], d[train], standardize=standardize, intercept=intercept))
+        held_sets.append((held, d[held] if weighted_loss else np.ones(held.size)))
+    if lambda_grid is None:
+        full = _Problem(x, y, d, standardize=standardize, intercept=intercept)
 
     best_loss = math.inf
     best = None
     for alpha in alpha_grid:
-        if lambda_grid is None:
-            sw = np.sqrt(d)
-            std = Standardization.fit(x, d, center=intercept, scale=standardize)
-            ybar = float((d / d.sum()) @ y) if intercept else 0.0
-            grid = lambda_path(std.transform(x) * sw[:, None], (y - ybar) * sw, alpha, n_lambdas, lambda_min_ratio)
-        else:
-            grid = lambda_grid
-        paths = []
-        held_sets = []
-        for f in range(folds):
-            train = fold_of != f
-            held = np.flatnonzero(~train)
-            paths.append(
-                _FoldPath(x[train], y[train], d[train], alpha, standardize, intercept, tol, max_iter)
-            )
-            held_sets.append((held, d[held] if weighted_loss else np.ones(held.size)))
+        grid = lambda_grid if lambda_grid is not None else lambda_path(full.xty, alpha, n_lambdas, lambda_min_ratio)
+        # Warm starts run down one alpha's path only.
+        warm = [None] * folds
         alpha_best = math.inf
         alpha_best_idx = 0
         for i, lam in enumerate(grid):
             total = 0.0
-            for path, (held, loss_w) in zip(paths, held_sets):
-                coef, icpt = path.step(lam)
+            for f, (problem, (held, loss_w)) in enumerate(zip(problems, held_sets)):
+                if alpha == 0.0:
+                    evals, evecs, projected = problem.spectrum
+                    beta_std = evecs @ (projected / (evals + lam))
+                else:
+                    beta_std, _, _ = _cd_core(
+                        problem.gram, problem.xty, problem.yty, lam, alpha, tol, max_iter, warm[f]
+                    )
+                    warm[f] = beta_std
+                coef, icpt = problem.raw(beta_std)
                 residuals = y[held] - (x[held] @ coef + icpt)
                 total += float(loss_w @ residuals**2)
             if total < alpha_best:

@@ -10,7 +10,7 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,21 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def array_eq(self, other) -> bool:
+    """Dataclass ``==`` that compares array fields with ``np.array_equal``.
+
+    The generated ``__eq__`` takes the truth value of ``array == array``,
+    which raises for arrays of more than one element.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+    return all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b
+        for a, b in pairs
+    )
+
+
 @dataclass(frozen=True)
 class FinitePopulation:
     """A finite population of N units with p auxiliary variables.
@@ -56,6 +71,8 @@ class FinitePopulation:
     x: np.ndarray
     y: np.ndarray | None = None
     strata: np.ndarray | None = None
+
+    __eq__ = array_eq
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))

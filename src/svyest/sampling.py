@@ -9,7 +9,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .errors import AllocationError, DesignError, ParameterError, SizeError
-from .population import FinitePopulation
+from .population import FinitePopulation, array_eq
 
 #: Smallest sample size an optimally allocated stratum may receive.
 MIN_OPTIMAL_STRATUM_SIZE = 2
@@ -66,6 +66,8 @@ class DrawnSample:
 
     indices: np.ndarray
     pi: np.ndarray
+
+    __eq__ = array_eq
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int)

@@ -2,8 +2,9 @@ import concurrent.futures
 import ctypes
 import itertools
 import json
+import pickle
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -20,20 +21,24 @@ from svyest import (
     ParameterError,
     RunError,
     Srswor,
+    Standardization,
     StratifiedSrs,
     assign_strata_by_quantile,
+    draw,
     generate_auxiliary,
     generate_survey_variable,
     horvitz_thompson,
     load_scenario,
     read_report,
     run_scenario,
+    substream,
     sweep_dnoise,
     write_report,
 )
 from svyest.errors import SvyestError
 from svyest import montecarlo
 from svyest.baselines import PcrSpec
+from svyest.estimators import LinearPredictor
 from svyest.montecarlo import REPORT_HEADER
 
 
@@ -481,6 +486,31 @@ class TestDeterminism:
             _scenario(pop, [EstimatorSpec("ht"), EstimatorSpec("greg")], reps=5)
         )
         assert np.array_equal(lone.estimates[("ht", 0)], crowd.estimates[("ht", 0)])
+
+
+class TestEquality:
+    def test_pickle_round_trip_compares_equal(self):
+        pop = _make_population()
+        scenario = _scenario(pop, [EstimatorSpec("greg")])
+        sample = draw(scenario.design, pop, substream(1))
+        std = Standardization.fit(pop.x, 1.0 / np.arange(1.0, pop.n_units + 1))
+        linear = LinearPredictor(np.arange(3.0), 2.5)
+        for obj in (pop, scenario, sample, std, linear):
+            clone = pickle.loads(pickle.dumps(obj))
+            assert clone == obj
+            assert not clone != obj
+
+    def test_array_fields_are_compared(self):
+        pop = _make_population()
+        sample = draw(Srswor(12), pop, substream(1))
+        assert replace(pop, y=pop.y + 1.0) != pop
+        assert replace(pop, y=None) != pop
+        roster = [EstimatorSpec("greg")]
+        assert _scenario(replace(pop, y=pop.y * 2.0), roster) != _scenario(pop, roster)
+        assert replace(sample, pi=sample.pi / 2.0) != sample
+        assert LinearPredictor(np.arange(3.0), 2.5) != LinearPredictor(np.arange(3.0) + 1.0, 2.5)
+        assert LinearPredictor(np.arange(3.0), 2.5) != LinearPredictor(np.arange(3.0), 0.0)
+        assert pop != "population"
 
 
 class TestReportIo:

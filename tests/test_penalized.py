@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,29 @@ class TestFitRidge:
         s, x, y = _instance(7)
         with pytest.raises(ParameterError):
             fit_ridge(s, x, y, -1.0)
+
+    @pytest.mark.parametrize(
+        "seed, n, p, lam", [(60, 30, 5, 0.3), (61, 40, 8, 5.0), (62, 12, 30, 0.7), (63, 20, 60, 40.0)]
+    )
+    def test_augmented_least_squares_oracle(self, seed, n, p, lam):
+        # Standardized ridge with an unpenalized intercept is ordinary least
+        # squares on [sqrt(d) [1, u]; [0, sqrt(lam) I]], solved here by lstsq.
+        s, x, y = _instance(seed, n=n, p=p)
+        x = x * np.linspace(0.5, 40.0, p) + np.linspace(-100.0, 100.0, p)
+        d = s.weights
+        w = d / d.sum()
+        mean = x.T @ w
+        sd = np.sqrt(((x - mean) ** 2).T @ w)
+        sw = np.sqrt(d)
+        design = np.vstack([
+            np.column_stack([sw, (x - mean) / sd * sw[:, None]]),
+            np.column_stack([np.zeros(p), np.sqrt(lam) * np.eye(p)]),
+        ])
+        solution = np.linalg.lstsq(design, np.concatenate([sw * y, np.zeros(p)]), rcond=None)[0]
+        coef = solution[1:] / sd
+        fit = fit_ridge(s, x, y, lam)
+        np.testing.assert_allclose(fit.params["coef"], coef, rtol=1e-9, atol=1e-9 * np.abs(coef).max())
+        assert fit.params["intercept"] == pytest.approx(solution[0] - mean @ coef, rel=1e-9)
 
 
 class TestRidgeWeights:
@@ -349,9 +374,34 @@ class TestCrossValidate:
         b = cross_validate(s, x, y, folds=4, rng=substream(3), n_lambdas=12, alpha_grid=(0.0, 1.0))
         assert a == b
 
+    @pytest.mark.parametrize("seed", range(60, 66))
+    def test_alpha_grid_choice_equals_its_lone_alpha(self, seed):
+        # Fold problems are shared across alphas.  A grid starting below the
+        # all-zero threshold and a loose tolerance make each fit depend on its
+        # start, so a warm start carried from one alpha into the next shows.
+        s, x, y = _instance(seed, n=40, p=12)
+        kwargs = dict(lambda_grid=np.geomspace(3.0, 0.01, 12), folds=4, tol=1.0)
+        spec = cross_validate(s, x, y, alpha_grid=(1.0, 0.5, 0.0), rng=substream(seed), **kwargs)
+        alone = cross_validate(s, x, y, alpha_grid=(spec.alpha,), rng=substream(seed), **kwargs)
+        assert alone == spec
+
     def test_degenerate_folds_rejected(self):
         s, x, y = _instance(53, n=5)
         with pytest.raises(ParameterError):
             cross_validate(s, x, y, folds=9)
         with pytest.raises(ParameterError):
             cross_validate(s, x, y, folds=1)
+
+
+def test_pickled_fits_predict_the_same_bytes():
+    s, x, y = _instance(70, p=6)
+    fits = (
+        fit_greg(s, x, y),
+        fit_ridge(s, x, y, 0.5),
+        fit_elastic_net(s, x, y, PenaltySpec(lam=0.5, alpha=0.5)),
+        fit_elastic_net(s, x, y, PenaltySpec(lam=0.5, penalize_intercept=True)),
+    )
+    for fit in fits:
+        clone = pickle.loads(pickle.dumps(fit))
+        assert clone.predict == fit.predict
+        assert clone.predict(x).tobytes() == fit.predict(x).tobytes()
