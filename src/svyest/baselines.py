@@ -47,8 +47,12 @@ def fit_knn(
     """Nearest-neighbour mean on design-weighted standardized columns.
 
     Distances are Euclidean; ties break to the lower sample index.  The
-    neighbour mean is unweighted unless ``weighted`` switches it to the
-    design-weighted mean.
+    neighbours of a query are its k smallest squared distances in
+    (distance, index) order, exactly the first k columns of a stable
+    argsort, which is also the order their mean is summed in.  They are
+    found by partial selection; only a query with distances tied at the
+    k-th boundary is fully sorted.  The neighbour mean is unweighted unless
+    ``weighted`` switches it to the design-weighted mean.
     """
     x, y = _check_sample_xy(sample, x, y)
     if not 1 <= k <= sample.n:
@@ -61,13 +65,23 @@ def fit_knn(
     def predict(xnew: np.ndarray) -> np.ndarray:
         xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
         queries = std.transform(xnew)
-        sq_dist = (
-            np.einsum("ij,ij->i", queries, queries)[:, None]
-            - 2.0 * queries @ train.T
-            + train_sq[None, :]
-        )
-        # Stable argsort keeps the lower index first among distance ties.
-        nearest = np.argsort(sq_dist, axis=1, kind="stable")[:, :k]
+        # |q|^2 - 2 q.t + |t|^2 in place; each step rounds as the plain
+        # expression does.
+        sq_dist = queries @ train.T
+        sq_dist *= -2.0
+        sq_dist += np.einsum("ij,ij->i", queries, queries)[:, None]
+        sq_dist += train_sq
+        # The k nearest in (distance, index) order, as a stable argsort's
+        # first k columns: partial selection, then a sort of the k picked.
+        # A row whose count of distances at or below its k-th is not k (a
+        # tie at the boundary, or NaN) takes the stable argsort itself.
+        picked = np.argpartition(sq_dist, k - 1, axis=1)[:, :k]
+        picked_dist = np.take_along_axis(sq_dist, picked, axis=1)
+        order = np.lexsort((picked, picked_dist), axis=1)
+        nearest = np.take_along_axis(picked, order, axis=1)
+        tied = np.count_nonzero(sq_dist <= picked_dist.max(axis=1)[:, None], axis=1) != k
+        if tied.any():
+            nearest[tied] = np.argsort(sq_dist[tied], axis=1, kind="stable")[:, :k]
         if weighted:
             w = d[nearest]
             return np.einsum("ij,ij->i", w, y[nearest]) / w.sum(axis=1)

@@ -81,6 +81,12 @@ def _cmd_simulate(args) -> int:
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     report = sweep_dnoise(scenario, threads=threads, log_estimates=False)
     write_report(report, args.out)
+    for (label, level), messages in sorted(report.failures.items()):
+        print(
+            f"svyest: {label!r} at d_noise {level} failed {len(messages)} of "
+            f"{scenario.replicates} replicates, first: {messages[0]}",
+            file=sys.stderr,
+        )
     return 0
 
 

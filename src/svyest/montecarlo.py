@@ -318,6 +318,19 @@ class McReport:
     estimates: Mapping[tuple[str, int], np.ndarray] | None = None
     failures: Mapping[tuple[str, int], tuple[str, ...]] = field(default_factory=dict)
 
+    def __eq__(self, other):
+        # Logged estimates are arrays, NaN where a fit failed.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.estimates, other.estimates
+        same_log = mine is theirs or (
+            mine is not None
+            and theirs is not None
+            and mine.keys() == theirs.keys()
+            and all(np.array_equal(mine[key], theirs[key], equal_nan=True) for key in mine)
+        )
+        return same_log and self.rows == other.rows and self.failures == other.failures
+
 
 @dataclass(frozen=True)
 class McScenario:
@@ -414,7 +427,7 @@ def _run_replicates(scenario: McScenario, level: int, reps: Sequence[int]):
     return estimates, messages
 
 
-_WORKER_ARGS: tuple[McScenario, int] | None = None
+_WORKER_SCENARIO: McScenario | None = None
 
 
 def _openblas_function(name: str, restype, argtypes):
@@ -441,20 +454,34 @@ def _set_blas_threads(count: int) -> int | None:
     return previous
 
 
-def _worker_init(scenario: McScenario, level: int) -> None:
+def _worker_init(scenario: McScenario) -> None:
     # Workers already split the cores; BLAS threads of their own would
     # oversubscribe them and spin on every small solve.
     _set_blas_threads(1)
-    global _WORKER_ARGS
-    _WORKER_ARGS = (scenario, level)
+    global _WORKER_SCENARIO
+    _WORKER_SCENARIO = scenario
 
 
-def _worker_chunk(reps: Sequence[int]):
-    scenario, level = _WORKER_ARGS
-    return _run_replicates(scenario, level, reps)
+def _worker_chunk(task: tuple[int, Sequence[int]]):
+    level, reps = task
+    return _run_replicates(_WORKER_SCENARIO, level, reps)
 
 
-def run_scenario(scenario: McScenario, *, threads: int = 1, log_estimates: bool = True) -> McReport:
+def _start_pool(scenario: McScenario, threads: int) -> concurrent.futures.ProcessPoolExecutor:
+    """Workers that each hold ``scenario``, sent once; tasks are (level, replicates)."""
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=threads, initializer=_worker_init, initargs=(scenario,)
+    )
+
+
+def _with_ht(scenario: McScenario) -> McScenario:
+    """The scenario with a Horvitz-Thompson entry prepended when the roster has none."""
+    if any(spec.method == HT_METHOD for spec in scenario.estimators):
+        return scenario
+    return replace(scenario, estimators=(EstimatorSpec(method=HT_METHOD),) + scenario.estimators)
+
+
+def run_scenario(scenario: McScenario, *, threads: int = 1, log_estimates: bool = True, _pool=None) -> McReport:
     """Run one noise level: draw R samples, fit the roster on each, aggregate.
 
     Every method sees the identical sample in a replicate.  A Horvitz-Thompson
@@ -462,13 +489,15 @@ def run_scenario(scenario: McScenario, *, threads: int = 1, log_estimates: bool 
     relative-efficiency ratio at exactly 100.  Per-method failures are
     excluded with a count; a method failing more than 1 percent of replicates
     aborts the run.
+
+    With ``threads`` > 1 and more than one replicate, the replicates run in
+    up to ``4 * threads`` contiguous chunks on a process pool of ``threads``
+    workers, opened and shut down inside this call.  (``sweep_dnoise`` passes
+    its own pool, already holding the scenario, as ``_pool``.)
     """
     if len(scenario.d_noise_levels) != 1:
         raise ParameterError("run_scenario handles one d_noise level; use sweep_dnoise")
-    if not any(spec.method == HT_METHOD for spec in scenario.estimators):
-        scenario = replace(
-            scenario, estimators=(EstimatorSpec(method=HT_METHOD),) + scenario.estimators
-        )
+    scenario = _with_ht(scenario)
     level = scenario.d_noise_levels[0]
     n_reps = scenario.replicates
     reps = list(range(1, n_reps + 1))
@@ -476,11 +505,12 @@ def run_scenario(scenario: McScenario, *, threads: int = 1, log_estimates: bool 
     if threads > 1 and n_reps > 1:
         n_chunks = min(n_reps, threads * 4)
         bounds = np.linspace(0, n_reps, n_chunks + 1).astype(int)
-        chunks = [reps[bounds[i] : bounds[i + 1]] for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=threads, initializer=_worker_init, initargs=(scenario, level)
-        ) as pool:
-            parts = list(pool.map(_worker_chunk, chunks))
+        tasks = [(level, reps[bounds[i] : bounds[i + 1]]) for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
+        if _pool is None:
+            with _start_pool(scenario, threads) as pool:
+                parts = list(pool.map(_worker_chunk, tasks))
+        else:
+            parts = list(_pool.map(_worker_chunk, tasks))
         estimates = np.vstack([p[0] for p in parts])
         messages = [row for p in parts for row in p[1]]
     else:
@@ -555,25 +585,39 @@ def sweep_dnoise(
     threads: int = 1,
     log_estimates: bool = True,
 ) -> McReport:
-    """Run every noise level with paired replicate seeds and stack the rows."""
+    """Run every noise level with paired replicate seeds and stack the rows.
+
+    Each level is one ``run_scenario`` call, in ascending order.  With
+    ``threads`` > 1 and more than one replicate, all levels share one
+    process pool: it receives the scenario once when its workers start, and
+    it is shut down, its workers joined, before this call returns or raises.
+    No process outlives the call.
+    """
     if levels is None:
         levels = scenario.d_noise_levels
     levels = tuple(int(v) for v in levels)
     if list(levels) != sorted(levels):
         raise ParameterError("d_noise levels must be sorted ascending")
+    scenario = _with_ht(scenario)
+    pool = _start_pool(scenario, threads) if threads > 1 and scenario.replicates > 1 else None
     rows: list[McRow] = []
     estimates: dict[tuple[str, int], np.ndarray] = {}
     failures: dict[tuple[str, int], tuple[str, ...]] = {}
-    for level in levels:
-        part = run_scenario(
-            replace(scenario, d_noise_levels=(level,)),
-            threads=threads,
-            log_estimates=log_estimates,
-        )
-        rows.extend(part.rows)
-        if part.estimates:
-            estimates.update(part.estimates)
-        failures.update(part.failures)
+    try:
+        for level in levels:
+            part = run_scenario(
+                replace(scenario, d_noise_levels=(level,)),
+                threads=threads,
+                log_estimates=log_estimates,
+                _pool=pool,
+            )
+            rows.extend(part.rows)
+            if part.estimates:
+                estimates.update(part.estimates)
+            failures.update(part.failures)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     rows.sort(key=lambda row: (row.method, row.d_noise))
     return McReport(
         rows=tuple(rows),

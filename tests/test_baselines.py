@@ -62,6 +62,47 @@ class TestKnn:
         expected = (0.0 / 0.2 + 10.0 / 0.8) / (1 / 0.2 + 1 / 0.8)
         assert fit.predict(np.array([[0.05]]))[0] == pytest.approx(expected)
 
+    @staticmethod
+    def _argsort_reference(s, x, y, k, weighted, queries):
+        """The predictor as a full stable argsort of every distance row, and
+        the number of rows with distances tied at the k-th."""
+        std = Standardization.fit(x, s.weights)
+        train = std.transform(x)
+        q = std.transform(queries)
+        sq_dist = (
+            np.einsum("ij,ij->i", q, q)[:, None]
+            - 2.0 * q @ train.T
+            + np.einsum("ij,ij->i", train, train)[None, :]
+        )
+        order = np.argsort(sq_dist, axis=1, kind="stable")
+        kth = np.take_along_axis(sq_dist, order[:, k - 1 : k], axis=1)
+        tied = int(np.count_nonzero((sq_dist <= kth).sum(axis=1) > k))
+        nearest = order[:, :k]
+        if weighted:
+            w = s.weights[nearest]
+            return np.einsum("ij,ij->i", w, y[nearest]) / w.sum(axis=1), tied
+        return y[nearest].mean(axis=1), tied
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_partial_selection_equals_stable_argsort(self, seed, weighted):
+        # integer-valued columns make many distances tie, at the k-th
+        # boundary too; the neighbours and their summation order must be
+        # the stable argsort's, so predictions agree to the byte
+        rng = substream(seed, 11)
+        n, p = 12 + 5 * seed, 1 + seed % 3
+        x = rng.integers(0, 3, (n, p)).astype(float)
+        y = rng.normal(0.0, 1.0, n)
+        s = DrawnSample(indices=np.arange(n), pi=rng.uniform(0.2, 0.9, n))
+        queries = rng.integers(-1, 4, (60, p)).astype(float)
+        tied_rows = 0
+        for k in (1, 5, n):
+            expected, tied = self._argsort_reference(s, x, y, k, weighted, queries)
+            got = fit_knn(s, x, y, k, weighted=weighted).predict(queries)
+            assert got.tobytes() == expected.tobytes()
+            tied_rows += tied
+        assert tied_rows > 0
+
     @pytest.mark.parametrize("k", [0, 31])
     def test_k_out_of_range(self, k):
         s, x, y = _instance(4)

@@ -1,7 +1,11 @@
+import itertools
 import json
+from dataclasses import dataclass, field
+from typing import Iterator
 
-from svyest import load_population, read_report
+from svyest import horvitz_thompson, load_population, montecarlo, read_report
 from svyest.cli import main
+from svyest.errors import SvyestError
 
 
 def _scenario_config(tmp_path, levels=(0, 2), reps=4):
@@ -19,6 +23,18 @@ def _scenario_config(tmp_path, levels=(0, 2), reps=4):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(config))
     return path
+
+
+@dataclass(frozen=True)
+class _FailsFirst:
+    """Horvitz-Thompson that fails on its first call."""
+
+    calls: Iterator[int] = field(default_factory=itertools.count, init=False, compare=False)
+
+    def __call__(self, sample, xs, ys, working, rng):
+        if next(self.calls) == 0:
+            raise SvyestError("synthetic failure")
+        return horvitz_thompson(sample, ys).t_hat
 
 
 class TestSimulate:
@@ -73,6 +89,29 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "'forest'" in err and "'n_split_features'" in err and "Traceback" not in err
         assert not (tmp_path / "o.csv").exists()
+
+
+    def test_failures_summarised_on_stderr(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(montecarlo.METHODS, "stub_fails_first", _FailsFirst)
+        config = json.loads(_scenario_config(tmp_path, reps=101).read_text())
+        config["estimators"].append({"method": "stub_fails_first", "name": "flaky"})
+        path = tmp_path / "flaky.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        # serial: each level parses its own stub, so each level fails once
+        assert main(["simulate", "--scenario", str(path), "--out", str(out), "--threads", "1"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"svyest: 'flaky' at d_noise {level} failed 1 of 101 replicates, "
+            "first: replicate 1: synthetic failure"
+            for level in (0, 2)
+        ]
+        rows = read_report(out).rows
+        assert {(row.method, row.r) for row in rows} == {("flaky", 100), ("greg", 101), ("ht", 101)}
+
+    def test_clean_run_prints_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--scenario", str(_scenario_config(tmp_path)), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestReport:

@@ -2,6 +2,7 @@ import concurrent.futures
 import ctypes
 import itertools
 import json
+import multiprocessing
 import pickle
 import re
 from dataclasses import dataclass, field, fields, replace
@@ -93,7 +94,24 @@ class _Flaky:
         return horvitz_thompson(sample, ys).t_hat
 
 
-_STUBS = {"stub_oracle": _Oracle, "stub_sequence": _Sequence, "stub_flaky": _Flaky}
+@dataclass(frozen=True)
+class _FailsAtWidth:
+    """Horvitz-Thompson that fails whenever the working matrix has ``width`` columns."""
+
+    width: int = 0
+
+    def __call__(self, sample, xs, ys, working, rng):
+        if xs.shape[1] == self.width:
+            raise SvyestError("synthetic failure")
+        return horvitz_thompson(sample, ys).t_hat
+
+
+_STUBS = {
+    "stub_oracle": _Oracle,
+    "stub_sequence": _Sequence,
+    "stub_flaky": _Flaky,
+    "stub_fails_at_width": _FailsAtWidth,
+}
 
 
 @pytest.fixture(autouse=True)
@@ -378,7 +396,7 @@ class TestBlasThreads:
             pytest.skip("numpy's OpenBLAS is not loaded")
         scenario = _scenario(_make_population(), [EstimatorSpec("greg")])
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=1, initializer=montecarlo._worker_init, initargs=(scenario, 0)
+            max_workers=1, initializer=montecarlo._worker_init, initargs=(scenario,)
         ) as pool:
             in_worker = pool.submit(_blas_threads).result(timeout=60)
         assert in_worker == 1
@@ -447,6 +465,66 @@ class TestSweep:
             assert row.re_percent >= 0.0
 
 
+class TestSweepPool:
+    roster = [
+        EstimatorSpec("greg"),
+        EstimatorSpec("knn", params={"k": 3}),
+        EstimatorSpec("pcr", params={"rule": "P24"}),
+        EstimatorSpec("lasso", params={"cv_folds": 3, "cv_lambdas": 6}),
+    ]
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        started = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", Counted)
+        return started
+
+    def test_one_pool_equals_serial(self, pools):
+        scenario = _scenario(_make_population(p=8), self.roster, levels=(0, 1, 3), reps=7)
+        serial = sweep_dnoise(scenario, threads=1)
+        assert not pools
+        pooled = sweep_dnoise(scenario, threads=2)
+        assert len(pools) == 1
+        assert pooled.rows == serial.rows
+        assert not serial.failures and not pooled.failures
+        assert pooled.estimates.keys() == serial.estimates.keys()
+        for key, column in serial.estimates.items():
+            assert column.tobytes() == pooled.estimates[key].tobytes()
+        assert not multiprocessing.active_children()
+
+    def test_one_replicate_opens_no_pool(self, pools):
+        sweep_dnoise(_scenario(_make_population(p=8), self.roster, levels=(0, 1), reps=1), threads=2)
+        assert not pools
+
+    def test_levels_are_run_in_ascending_order(self, monkeypatch):
+        seen = []
+        run_level = montecarlo.run_scenario
+
+        def spy(scenario, **kwargs):
+            seen.append(scenario.d_noise_levels)
+            return run_level(scenario, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "run_scenario", spy)
+        scenario = _scenario(_make_population(p=8), [EstimatorSpec("greg")], levels=(0, 1, 3), reps=3)
+        sweep_dnoise(scenario, threads=2)
+        assert seen == [(0,), (1,), (3,)]
+
+    def test_no_worker_outlives_a_failed_level(self, pools):
+        pop = _make_population(p=8)
+        middle = len(_scenario(pop, [EstimatorSpec("greg")]).working_columns(1))
+        roster = [EstimatorSpec("stub_fails_at_width", params={"width": middle})]
+        with pytest.raises(RunError, match="stub_fails_at_width"):
+            sweep_dnoise(_scenario(pop, roster, levels=(0, 1, 3), reps=4), threads=2)
+        assert len(pools) == 1
+        assert not multiprocessing.active_children()
+
+
 class TestDeterminism:
     def test_same_seed_same_report(self):
         pop = _make_population(p=8)
@@ -499,6 +577,22 @@ class TestEquality:
             clone = pickle.loads(pickle.dumps(obj))
             assert clone == obj
             assert not clone != obj
+
+    def test_report_with_a_failed_fit_round_trips(self):
+        pop = _make_population()
+        roster = [EstimatorSpec("greg"), EstimatorSpec("stub_flaky", params={"every": 101})]
+        report = run_scenario(_scenario(pop, roster, reps=101))
+        assert np.isnan(report.estimates[("stub_flaky", 0)]).sum() == 1
+        clone = pickle.loads(pickle.dumps(report))
+        assert clone == report
+        assert not clone != report
+        changed = dict(report.estimates)
+        changed[("greg", 0)] = changed[("greg", 0)] + 1.0
+        assert replace(report, estimates=changed) != report
+        assert replace(report, estimates=None) != report
+        assert replace(report, failures={}) != report
+        assert replace(report, rows=report.rows[:1]) != report
+        assert report != report.rows
 
     def test_array_fields_are_compared(self):
         pop = _make_population()
