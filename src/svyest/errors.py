@@ -36,14 +36,16 @@ class PredictorError(SvyestError):
 class ConvergenceError(SvyestError):
     """An iterative fit hit its sweep limit before converging.
 
-    Carries the last iterate and the objective trace so callers can inspect
-    how far the optimisation got.
+    Carries the last iterate, the objective trace and, where the problem
+    has one, the duality gap of the last iterate, so callers can inspect how
+    far the optimisation got.
     """
 
-    def __init__(self, message, *, coef=None, objective_trace=None):
+    def __init__(self, message, *, coef=None, objective_trace=None, dual_gap=None):
         super().__init__(message)
         self.coef = coef
         self.objective_trace = objective_trace
+        self.dual_gap = dual_gap
 
 
 class RunError(SvyestError):

@@ -1,20 +1,22 @@
 """Design-weighted penalized least squares: ridge, lasso, and elastic net.
 
 All criteria weight squared residuals by 1 / pi.  Ridge has a closed form;
-lasso and elastic net are solved by cyclic coordinate descent with
-soft-thresholding on the root-weight transformed design, where each
-coordinate update has the closed form
+lasso and elastic net are solved by an active-set descent on the root-weight
+transformed design, ``xt_i = x_i / sqrt(pi_i)``, where each coordinate's
+exact minimiser, the others held fixed, is
 
-    beta_j = S(sum_i r_ij * xt_ij, lam * alpha) / (sum_i xt_ij^2 + lam * (1 - alpha))
+    beta_j = S(z_j, lam * alpha) / (sum_i xt_ij^2 + lam * (1 - alpha))
 
-with ``xt_i = x_i / sqrt(pi_i)`` and partial residuals r.  Between full
-sweeps, exact Newton steps on the active set with its signs held fixed (the
-feature-sign search of Lee, Battle, Raina & Ng, 2007) replace the slow
-sweeps over the active set.  The tracked objective is
-``0.5 * sum_S (y - x'b)^2 / pi + lam * alpha * |b|_1 +
-0.5 * lam * (1 - alpha) * |b|_2^2``, whose exact coordinate minimiser is the
-update above; it is non-increasing across sweeps and steps and checked on
-every fit.
+with z_j the j-th column's cross product with the partial residual.  Each
+iteration computes every z_j at once.  When no coefficient lies ``tol`` or
+more from its minimiser the descent has converged; otherwise the
+coordinates with a nonzero minimiser join the active set, and exact Newton
+steps on the active set with its signs held fixed (the feature-sign search
+of Lee, Battle, Raina & Ng, 2007) move the coefficients.  Cyclic
+soft-threshold sweeps run only when a Newton round fails.  The tracked
+objective is ``0.5 * sum_S (y - x'b)^2 / pi + lam * alpha * |b|_1 +
+0.5 * lam * (1 - alpha) * |b|_2^2``; it is non-increasing across steps and
+sweeps and checked on every fit, and every fit reports its duality gap.
 
 One ``_Problem`` per sample and per cross-validation training fold holds the
 standardized, root-weighted Gram ``xt'xt`` with ``xt'yt`` and ``yt'yt``; the
@@ -220,41 +222,71 @@ def ridge_weights(sample: DrawnSample, x: np.ndarray, tx: np.ndarray, lam: float
     return d * (1.0 + x @ adjustment)
 
 
-def _cd_core(gram, xty, yty, lam, alpha, tol, max_iter, beta0=None):
-    """Cyclic soft-threshold descent; returns (beta, sweeps, objective trace).
+def _certificate(gram, xty, yty, lam, alpha, beta) -> tuple[float, float]:
+    """Duality gap and largest KKT violation of ``beta``, from the Gram alone.
 
-    Works off the cached Gram matrix: the gradient entry a coordinate needs
-    is the cached cross product minus one entry of ``gram @ beta``, which is
-    maintained incrementally, so a sweep that moves nothing costs O(k).
-    After every full sweep that has not converged, Newton steps solve the
-    problem restricted to the active set with its signs fixed, stopping at
-    the first coordinate that reaches zero and dropping it.  Each step counts
-    as a sweep toward ``max_iter``.  A singular or non-finite solve, or a
-    step that would raise the objective, is undone, and sweeps over the
-    active set run instead.  Convergence is only declared after a full sweep
-    moves no coefficient by ``tol`` or more; that sweep also brings in every
-    inactive coordinate that violates its optimality condition.
+    The elastic net is a lasso on the augmented design ``[xt; sqrt(ridge) I]``
+    with response ``[yt; 0]``, whose correlations with the residual are
+    ``u = xty - G b - ridge b``.  The residual scaled by
+    ``s = min(1, lam*alpha / max|u|)`` is dual feasible, so the gap between
+    the primal and that dual value bounds the distance to the optimal
+    objective whatever the solver did (Fercoq, Gramfort & Salmon, 2015).
     """
-    k = xty.size
+    ridge, thresh = lam * (1.0 - alpha), lam * alpha
+    gram_beta = gram @ beta
+    u = xty - gram_beta - ridge * beta
+    largest = float(np.max(np.abs(u), initial=0.0))
+    s = 1.0 if largest <= thresh else thresh / largest
+    fit_xy = float(beta @ xty)
+    rss = yty - 2.0 * fit_xy + float(beta @ gram_beta)
+    norm2 = float(beta @ beta)
+    primal = 0.5 * rss + thresh * float(np.abs(beta).sum()) + 0.5 * ridge * norm2
+    dual = s * (yty - fit_xy) - 0.5 * s * s * (rss + ridge * norm2)
+    kkt = np.where(beta != 0, np.abs(u - thresh * np.sign(beta)), np.maximum(np.abs(u) - thresh, 0.0))
+    return primal - dual, float(np.max(kkt, initial=0.0))
+
+
+def _cd_core(gram, xty, yty, lam, alpha, tol, max_iter, beta0=None):
+    """Active-set descent; returns (beta, sweeps, objective trace).
+
+    Works off the cached Gram matrix, with ``gram @ beta`` and the residual
+    sum of squares kept up to date as coefficients move.  Each iteration
+    opens with one vectorised optimality check: every coordinate's exact
+    minimiser ``S(z_j, lam*alpha) / (G_jj + lam*(1-alpha))`` at the current
+    beta, with ``z_j`` the gradient entry plus ``G_jj * beta_j``.  When no
+    coefficient is ``tol`` or more from its minimiser, the descent has
+    converged; this is the test a cyclic sweep makes at its fixed point.
+    Otherwise every inactive coordinate with a nonzero minimiser enters the
+    active set with the sign of its ``z_j``, and Newton steps solve the
+    problem restricted to the active set with its signs fixed (the
+    feature-sign search of Lee, Battle, Raina & Ng, 2007).  A singular or
+    non-finite solve, a step the objective guard rejects, or a round of
+    steps that does not lower the objective falls back to one cyclic
+    soft-threshold sweep over every coordinate.  Newton steps, fallback
+    sweeps and the check that ends the descent each count as a sweep toward
+    ``max_iter``; a check that lets coordinates enter does not, since a
+    counted step or sweep always follows it.
+    """
     col_ss = np.diag(gram).copy()
     ridge = lam * (1.0 - alpha)
-    denom = col_ss + ridge
+    # Zero columns never enter: their minimiser is 0 / inf.
+    denom = np.where(col_ss > 0, col_ss + ridge, np.inf)
     thresh = lam * alpha
     l2_half = 0.5 * ridge
-    beta = np.zeros(k) if beta0 is None else np.array(beta0, dtype=float)
+    beta = np.zeros(xty.size) if beta0 is None else np.array(beta0, dtype=float)
     grad_cache = gram @ beta
     rss = yty - 2.0 * float(beta @ xty) + float(beta @ grad_cache)
     # Python floats: numpy scalar arithmetic would dominate the sweep loop.
+    all_coords = np.flatnonzero(col_ss > 0).tolist()
     xty_l, col_ss_l, denom_l = xty.tolist(), col_ss.tolist(), denom.tolist()
 
     def objective() -> float:
         return 0.5 * rss + thresh * float(np.abs(beta).sum()) + l2_half * float(beta @ beta)
 
-    def sweep(coords) -> float:
+    def sweep():
         nonlocal rss, grad_cache
-        largest = 0.0
         beta_at, grad_cache_at = beta.item, grad_cache.item
-        for j in coords:
+        for j in all_coords:
             old = beta_at(j)
             gradient = xty_l[j] - grad_cache_at(j)
             z = gradient + col_ss_l[j] * old
@@ -270,24 +302,40 @@ def _cd_core(gram, xty, yty, lam, alpha, tol, max_iter, beta0=None):
                 rss += move * (move * col_ss_l[j] - 2.0 * gradient)
                 grad_cache += gram[j] * move
                 beta[j] = new
-                if abs(move) > largest:
-                    largest = abs(move)
-        return largest
 
-    def newton_steps() -> bool:
+    def step(active, rows, current, target, limit) -> bool:
+        """Move ``beta[active]`` to target unless the objective would exceed limit."""
+        nonlocal rss, grad_cache, sweeps
+        move = target - current
+        gram_move = move @ rows
+        new_rss = rss - float(move @ (2.0 * (xty[active] - grad_cache[active]) - gram_move[active]))
+        # Every coordinate outside the active set is zero.
+        obj = 0.5 * new_rss + thresh * float(np.abs(target).sum()) + l2_half * float(target @ target)
+        if obj > limit:
+            return False
+        rss = new_rss
+        grad_cache += gram_move
+        beta[active] = target
+        sweeps += 1
+        trace.append(obj)
+        return True
+
+    def newton_steps(active, signs) -> bool:
         """Exact steps on the active set with its signs held fixed.
 
         Solves ``(G_AA + ridge I) b = xty_A - thresh * s``.  When b keeps the
-        signs s it is the optimum over A and is taken whole; otherwise the
-        step stops where the first coordinate reaches zero, drops it, and
-        solves again.  Every step counts as a sweep.  Returns False, with the
-        step undone, when the solve fails or the objective would rise.
+        signs s it is the optimum over A and is taken whole.  Otherwise every
+        coordinate whose sign b contradicts is set to zero and dropped in one
+        step, if that step does not raise the objective.  If it would, the
+        step goes to the best of the points on the segment toward b where a
+        coordinate reaches zero (the feature-sign line search), drops the
+        coordinates that are zero there and takes the signs of the others.
+        Then the reduced set is solved again.  Returns True when the steps
+        lowered the objective.
         """
-        nonlocal rss, grad_cache, sweeps
-        active = np.flatnonzero(beta)
+        start = trace[-1]
         while active.size and sweeps < max_iter:
             current = beta[active]
-            signs = np.sign(current)
             rows = gram[active]
             system = rows[:, active]
             system.flat[:: active.size + 1] += ridge
@@ -298,35 +346,49 @@ def _cd_core(gram, xty, yty, lam, alpha, tol, max_iter, beta0=None):
             if not np.all(np.isfinite(target)):
                 return False
             crossing = np.flatnonzero(target * signs <= 0.0)
-            if crossing.size:
-                ratios = current[crossing] / (current[crossing] - target[crossing])
-                first = int(np.argmin(ratios))
-                target = current + ratios[first] * (target - current)
-                target[crossing[first]] = 0.0
-            move = target - current
-            gram_move = move @ rows
-            saved = rss, grad_cache.copy()
-            rss -= float(move @ (2.0 * (xty[active] - grad_cache[active]) - gram_move[active]))
-            grad_cache += gram_move
-            beta[active] = target
-            if objective() > trace[-1] + slack:
-                rss, grad_cache = saved
-                beta[active] = current
-                return False
-            sweeps += 1
-            record()
             if not crossing.size:
-                return True
-            active = active[target != 0.0]
-        return True
+                return step(active, rows, current, target, trace[-1] + slack) and trace[-1] < start
+            dropped = target.copy()
+            dropped[crossing] = 0.0
+            if step(active, rows, current, dropped, trace[-1]):
+                keep = target * signs > 0.0
+            else:
+                # Feature-sign line search: the best of the points where a
+                # coordinate reaches zero on the segment toward b.  An
+                # entering coordinate starts at zero, so its ratio is 0.
+                gap = current[crossing] - target[crossing]
+                ratios = np.divide(current[crossing], gap, out=np.zeros(crossing.size), where=gap != 0.0)
+                points = current + ratios[:, None] * (target - current)
+                points[np.arange(crossing.size), crossing] = 0.0
+                moves = points - current
+                # move' G_AA move, with the ridge taken back out of the system
+                quad = np.einsum("ij,ij->i", moves @ system, moves) - ridge * np.einsum("ij,ij->i", moves, moves)
+                rss_at = rss - moves @ (2.0 * (xty[active] - grad_cache[active])) + quad
+                l1, l2 = np.abs(points).sum(axis=1), np.einsum("ij,ij->i", points, points)
+                best = points[int(np.argmin(0.5 * rss_at + thresh * l1 + l2_half * l2))]
+                if not step(active, rows, current, best, trace[-1] + slack):
+                    return False
+                keep = (best != 0.0) | (target * signs > 0.0)
+                signs = np.where(best != 0.0, np.sign(best), signs)
+            active, signs = active[keep], signs[keep]
+        return trace[-1] < start
 
-    all_coords = np.flatnonzero(col_ss > 0)
     trace = [objective()]
     # The incremental residual tracking drifts by tiny float amounts, so the
     # monotonicity guard is slack relative to the starting objective.
     slack = 1e-10 * (abs(trace[0]) + 1.0)
 
-    def record():
+    sweeps = 0
+    while sweeps < max_iter:
+        z = xty - grad_cache + col_ss * beta
+        minimiser = np.copysign(np.maximum(np.abs(z) - thresh, 0.0) / denom, z)
+        if float(np.max(np.abs(minimiser - beta), initial=0.0)) < tol:
+            return beta, sweeps + 1, trace
+        active = np.flatnonzero((beta != 0.0) | (minimiser != 0.0))
+        if newton_steps(active, np.sign(np.where(beta[active] != 0.0, beta[active], z[active]))):
+            continue
+        sweep()
+        sweeps += 1
         obj = objective()
         if obj > trace[-1] + slack:
             raise ConvergenceError(
@@ -335,27 +397,11 @@ def _cd_core(gram, xty, yty, lam, alpha, tol, max_iter, beta0=None):
                 objective_trace=tuple(trace),
             )
         trace.append(obj)
-
-    sweeps = 0
-    while sweeps < max_iter:
-        delta = sweep(all_coords)
-        sweeps += 1
-        record()
-        if delta < tol:
-            return beta, sweeps, trace
-        if newton_steps():
-            continue
-        active = np.flatnonzero(beta != 0)
-        while active.size < all_coords.size and sweeps < max_iter:
-            delta = sweep(active)
-            sweeps += 1
-            record()
-            if delta < tol:
-                break
     raise ConvergenceError(
         f"no convergence after {max_iter} sweeps (last move >= {tol:g})",
         coef=beta.copy(),
         objective_trace=tuple(trace),
+        dual_gap=_certificate(gram, xty, yty, lam, alpha, beta)[0],
     )
 
 
@@ -370,11 +416,11 @@ def fit_elastic_net(
     standardize: bool = True,
     intercept: bool = True,
 ) -> FittedPredictor:
-    """Design-weighted elastic net by cyclic coordinate descent.
+    """Design-weighted elastic net by active-set descent.
 
     ``spec.alpha=1`` gives the lasso.  The unpenalized intercept is profiled
-    out through weighted centring, which keeps it at its optimum after every
-    sweep; set ``standardize=False, intercept=False`` to run on raw columns
+    out through weighted centring, which keeps it at its optimum at every
+    iterate; set ``standardize=False, intercept=False`` to run on raw columns
     (the configuration whose orthogonal-design solution has a closed form).
     """
     if not tol > 0:
@@ -387,6 +433,7 @@ def fit_elastic_net(
         intercept_column=spec.penalize_intercept and intercept,
     )
     penalized, sweeps, trace = _cd_core(problem.gram, problem.xty, problem.yty, spec.lam, spec.alpha, tol, max_iter)
+    dual_gap, kkt = _certificate(problem.gram, problem.xty, problem.yty, spec.lam, spec.alpha, penalized)
     beta_std = penalized[1:] if problem.intercept_column else penalized
     coef, b0 = problem.raw(penalized)
 
@@ -405,6 +452,8 @@ def fit_elastic_net(
             "alpha": float(spec.alpha),
             "sweeps": float(sweeps),
             "objective": trace[-1],
+            "dual_gap": dual_gap,
+            "kkt_violation": kkt,
             "penalized_norm1": float(np.abs(penalized).sum()),
             "penalized_norm2": float(np.linalg.norm(penalized)),
         },

@@ -7,20 +7,27 @@ from hypothesis import strategies as st
 
 from svyest import (
     ConvergenceError,
+    DgpModel,
     DrawnSample,
+    EstimatorSpec,
+    McScenario,
     ParameterError,
     PenaltySpec,
     Standardization,
+    Srswor,
     cross_validate,
+    draw,
     fit_elastic_net,
     fit_greg,
     fit_ridge,
+    generate_auxiliary,
+    generate_survey_variable,
     greg_weights,
     ridge_weights,
     soft_threshold,
     substream,
 )
-from svyest.penalized import DEFAULT_TOL
+from svyest.penalized import DEFAULT_MAX_SWEEPS, DEFAULT_TOL, _cd_core, _certificate, _Problem, lambda_path
 
 
 def _instance(seed, n=30, p=5, sparse=True):
@@ -252,30 +259,42 @@ class TestElasticNet:
         assert abs(pinned.params["intercept"]) <= abs(free.params["intercept"]) + 1e-9
 
 
+def _root_weighted(sample, x, y, std, penalize_intercept=False):
+    """The root-weighted standardized design and response, built from the data.
+
+    The design's columns are the solver's: the standardized slopes, led by
+    the root weights when the intercept is penalized.
+    """
+    d = sample.weights
+    sw = np.sqrt(d)
+    u = std.transform(x)
+    if penalize_intercept:
+        return np.column_stack([sw, u * sw[:, None]]), y * sw
+    ybar = float((d / d.sum()) @ y)
+    return u * sw[:, None], (y - ybar) * sw
+
+
+def _solver_coef(fit, spec):
+    """The coefficients of an elastic-net fit on the solver's columns."""
+    if not spec.penalize_intercept:
+        return fit.params["coef_std"]
+    b0 = fit.params["intercept"] + float(fit.params["standardization"].center @ fit.params["coef"])
+    return np.concatenate([[b0], fit.params["coef_std"]])
+
+
 def _kkt_violation(sample, x, y, fit, spec):
     """Per-coordinate KKT violations of an elastic-net fit, and their bounds.
 
     Rebuilds the root-weighted standardized problem from the data, apart from
     the solver.  For an active j the violation is
     ``|x_j'r - lam(1-alpha) b_j - lam alpha sign(b_j)|``; for an inactive j it
-    is ``max(|x_j'r| - lam alpha, 0)``.  Descent stops after a full sweep
-    moves no coordinate by ``tol``; each coordinate met its own condition
-    when visited, so the violation is at most ``tol * sum_k |G_jk|``.
+    is ``max(|x_j'r| - lam alpha, 0)``.  Descent stops once no coordinate
+    lies ``tol`` or more from its exact minimiser, after an exact Newton step
+    or a full sweep; the bound ``tol * sum_k |G_jk|`` is the one a cyclic
+    sweep that moved no coordinate by ``tol`` would give.
     """
-    d = sample.weights
-    sw = np.sqrt(d)
-    std = fit.params["standardization"]
-    u = std.transform(x)
-    if spec.penalize_intercept:
-        xt = np.column_stack([sw, u * sw[:, None]])
-        yt = y * sw
-        b0 = fit.params["intercept"] + float(std.center @ fit.params["coef"])
-        beta = np.concatenate([[b0], fit.params["coef_std"]])
-    else:
-        ybar = float((d / d.sum()) @ y)
-        xt = u * sw[:, None]
-        yt = (y - ybar) * sw
-        beta = fit.params["coef_std"]
+    beta = _solver_coef(fit, spec)
+    xt, yt = _root_weighted(sample, x, y, fit.params["standardization"], spec.penalize_intercept)
     correlation = xt.T @ (yt - xt @ beta)
     active = beta != 0
     violation = np.where(
@@ -288,43 +307,72 @@ def _kkt_violation(sample, x, y, fit, spec):
     return violation, bound
 
 
+def _n_space_gap(xt, yt, beta, spec):
+    """Duality gap of ``beta``, built in sample space.
+
+    The elastic net is a lasso on the augmented design ``[xt; sqrt(ridge) I]``
+    with response ``[yt; 0]``; its residual, scaled so that no augmented
+    column correlates with it by more than ``lam * alpha``, is a feasible
+    dual point with value ``|y|^2/2 - |y - theta|^2/2``.
+    """
+    ridge, thresh = spec.lam * (1 - spec.alpha), spec.lam * spec.alpha
+    xa = np.vstack([xt, np.sqrt(ridge) * np.eye(beta.size)])
+    ya = np.concatenate([yt, np.zeros(beta.size)])
+    r = ya - xa @ beta
+    theta = min(1.0, thresh / np.abs(xa.T @ r).max()) * r
+    primal = 0.5 * r @ r + thresh * np.abs(beta).sum()
+    dual = 0.5 * ya @ ya - 0.5 * (ya - theta) @ (ya - theta)
+    return primal - dual
+
+
+def _lam_max(sample, x, y, alpha):
+    d = sample.weights
+    std = Standardization.fit(x, d)
+    sw = np.sqrt(d)
+    yt = (y - float((d / d.sum()) @ y)) * sw
+    return float(np.max(np.abs((std.transform(x) * sw[:, None]).T @ yt))) / alpha
+
+
+def _certified_fit(sample, x, y, spec, gap=True):
+    """Fit, and check the KKT conditions, the trace and, with ``gap``, the duality gap.
+
+    A descent that ends on an exact Newton step leaves a gap below
+    ``1e-9 * yt'yt``; one that ends on cyclic sweeps is only as close as
+    its ``tol`` makes it.
+    """
+    fit = fit_elastic_net(sample, x, y, spec)
+    violation, bound = _kkt_violation(sample, x, y, fit, spec)
+    assert np.all(violation <= bound)
+    if gap:
+        _, yt = _root_weighted(sample, x, y, fit.params["standardization"], spec.penalize_intercept)
+        assert fit.diagnostics["dual_gap"] <= 1e-9 * float(yt @ yt)
+    trace = np.asarray(fit.params["objective_trace"])
+    assert np.all(np.diff(trace) <= 1e-10 * (abs(trace[0]) + 1.0))
+    return fit
+
+
 class TestKktCertificate:
-    def _lam_max(self, sample, x, y, alpha):
-        d = sample.weights
-        std = Standardization.fit(x, d)
-        sw = np.sqrt(d)
-        yt = (y - float((d / d.sum()) @ y)) * sw
-        return float(np.max(np.abs((std.transform(x) * sw[:, None]).T @ yt))) / alpha
-
-    def _check(self, sample, x, y, spec):
-        fit = fit_elastic_net(sample, x, y, spec)
-        violation, bound = _kkt_violation(sample, x, y, fit, spec)
-        assert np.all(violation <= bound)
-        trace = np.asarray(fit.params["objective_trace"])
-        assert np.all(np.diff(trace) <= 1e-10 * (abs(trace[0]) + 1.0))
-        return fit
-
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
     @pytest.mark.parametrize("ratio", [0.5, 0.1, 0.01, 1e-4])
     def test_correlated_design(self, alpha, ratio):
         s, x, y = _instance(60, n=60, p=12)
         x = x + 0.8 * x[:, [0]]
-        lam = ratio * self._lam_max(s, x, y, alpha)
-        self._check(s, x, y, PenaltySpec(lam=lam, alpha=alpha))
+        lam = ratio * _lam_max(s, x, y, alpha)
+        _certified_fit(s, x, y, PenaltySpec(lam=lam, alpha=alpha))
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
     @pytest.mark.parametrize("ratio", [0.3, 0.03, 1e-3])
     def test_more_columns_than_rows(self, alpha, ratio):
         s, x, y = _instance(61, n=30, p=50)
-        lam = ratio * self._lam_max(s, x, y, alpha)
-        fit = self._check(s, x, y, PenaltySpec(lam=lam, alpha=alpha))
+        lam = ratio * _lam_max(s, x, y, alpha)
+        fit = _certified_fit(s, x, y, PenaltySpec(lam=lam, alpha=alpha))
         assert np.count_nonzero(fit.params["coef"]) > 0
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
     def test_penalized_intercept(self, alpha):
         s, x, y = _instance(62, n=40, p=8)
         for lam in (5.0, 0.5):
-            self._check(s, x, y, PenaltySpec(lam=lam, alpha=alpha, penalize_intercept=True))
+            _certified_fit(s, x, y, PenaltySpec(lam=lam, alpha=alpha, penalize_intercept=True))
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
     @pytest.mark.parametrize("ratio", [0.2, 0.01])
@@ -332,8 +380,133 @@ class TestKktCertificate:
         # the lasso's active sub-Gram is singular once both copies enter
         s, x, y = _instance(63, n=40, p=6)
         x = np.column_stack([x, x[:, 0]])
-        lam = ratio * self._lam_max(s, x, y, alpha)
-        self._check(s, x, y, PenaltySpec(lam=lam, alpha=alpha))
+        lam = ratio * _lam_max(s, x, y, alpha)
+        _certified_fit(s, x, y, PenaltySpec(lam=lam, alpha=alpha))
+
+
+class TestDualityGap:
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("penalize_intercept", [False, True])
+    def test_diagnostics_match_sample_space_oracles(self, alpha, penalize_intercept):
+        # A loose tolerance stops the descent short of the optimum, so the
+        # gap and the violation are far from zero.
+        s, x, y = _instance(64, n=40, p=12)
+        x = x + 0.8 * x[:, [0]]
+        spec = PenaltySpec(lam=2.0, alpha=alpha, penalize_intercept=penalize_intercept)
+        fit = fit_elastic_net(s, x, y, spec, tol=1.0)
+        xt, yt = _root_weighted(s, x, y, fit.params["standardization"], penalize_intercept)
+        gap = _n_space_gap(xt, yt, _solver_coef(fit, spec), spec)
+        assert gap > 1e-6 * float(yt @ yt)
+        assert fit.diagnostics["dual_gap"] == pytest.approx(gap, rel=1e-8)
+        violation, _ = _kkt_violation(s, x, y, fit, spec)
+        assert fit.diagnostics["kkt_violation"] == pytest.approx(violation.max(), rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_convergence_error_carries_the_gap(self, alpha):
+        s, x, y = _instance(64, n=40, p=12)
+        x = x + 0.8 * x[:, [0]]
+        spec = PenaltySpec(lam=2.0, alpha=alpha)
+        with pytest.raises(ConvergenceError) as exc_info:
+            fit_elastic_net(s, x, y, spec, max_iter=1)
+        err = exc_info.value
+        xt, yt = _root_weighted(s, x, y, Standardization.fit(x, s.weights))
+        gap = _n_space_gap(xt, yt, err.coef, spec)
+        assert gap > 1e-6 * float(yt @ yt)
+        assert err.dual_gap == pytest.approx(gap, rel=1e-8)
+
+
+def _path_instance():
+    """Criterion 5's population at d_noise 150: 200 sampled units, 153 columns."""
+    pop = generate_auxiliary(2000, 160, rho=0.7, seed=101, scale=30.0)
+    pop = generate_survey_variable(pop, DgpModel("Y1", noise_scale=2500.0, seed=202))
+    scenario = McScenario(
+        population=pop,
+        design=Srswor(200),
+        estimators=(EstimatorSpec("greg"),),
+        d_noise_levels=(150,),
+        replicates=1,
+        master_seed=0,
+        model=DgpModel("Y1", seed=202),
+    )
+    sample = draw(Srswor(200), pop, substream(0))
+    x = pop.x[sample.indices][:, list(scenario.working_columns(150))]
+    return sample, x, pop.y[sample.indices]
+
+
+class TestActiveSetEngine:
+    def test_columns_enter_from_a_warm_start(self):
+        s, x, y = _instance(65, n=60, p=20)
+        x = x + 0.8 * x[:, [0]]
+        problem = _Problem(x, y, s.weights, standardize=True, intercept=True)
+        lam_max = float(np.abs(problem.xty).max())
+
+        def descend(lam, beta0=None):
+            return _cd_core(problem.gram, problem.xty, problem.yty, lam, 1.0, DEFAULT_TOL, DEFAULT_MAX_SWEEPS, beta0)[0]
+
+        start = descend(0.5 * lam_max)
+        warm = descend(0.01 * lam_max, start)
+        cold = descend(0.01 * lam_max)
+        assert np.count_nonzero(warm) > np.count_nonzero(start) > 0
+        assert np.allclose(warm, cold, rtol=0.0, atol=1e-9 * np.abs(cold).max())
+        gap, kkt = _certificate(problem.gram, problem.xty, problem.yty, 0.01 * lam_max, 1.0, warm)
+        assert gap <= 1e-9 * problem.yty and kkt <= 1e-9 * lam_max
+
+    @pytest.mark.parametrize("failure", ["singular", "no progress"])
+    def test_sweeps_alone_converge_when_every_solve_fails(self, failure, monkeypatch):
+        def singular(matrix, rhs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        def no_progress(matrix, rhs):
+            # Every target crosses zero, so a round from zero takes only
+            # zero-length steps and must hand over to a sweep.
+            return np.zeros_like(rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", singular if failure == "singular" else no_progress)
+        s, x, y = _instance(66, n=40, p=8)
+        for spec in (PenaltySpec(lam=1.0, alpha=1.0), PenaltySpec(lam=1.0, alpha=0.5)):
+            fit = _certified_fit(s, x, y, spec, gap=False)
+            assert fit.diagnostics["sweeps"] > 2
+
+    @pytest.mark.parametrize("case", ["duplicated column", "more columns than rows"])
+    def test_singular_active_gram_still_converges(self, case, monkeypatch):
+        if case == "duplicated column":
+            s, x, y = _instance(63, n=40, p=6)
+            x = np.column_stack([x, x[:, 0]])
+            ratio = 0.01
+        else:
+            s, x, y = _instance(61, n=30, p=50)
+            ratio = 1e-3
+        conditions = []
+        solve = np.linalg.solve
+
+        def recorded(matrix, rhs):
+            conditions.append(np.linalg.cond(matrix))
+            return solve(matrix, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        _certified_fit(s, x, y, PenaltySpec(lam=ratio * _lam_max(s, x, y, 1.0), alpha=1.0))
+        assert max(conditions) > 1e12
+
+    def test_path_takes_at_most_half_the_cyclic_engines_sweeps(self):
+        # The engine that opened every round with a scalar cyclic sweep over
+        # all columns took 1,261 sweeps on this path.  A return to
+        # per-coordinate sweeps shows here as a count, without timing.
+        cyclic_sweeps = 1261
+        s, x, y = _path_instance()
+        d = s.weights
+        grid = lambda_path(_Problem(x, y, d, standardize=True, intercept=True).xty, 0.5, 25, 1e-6)
+        fold_of = np.arange(s.n) % 4
+        total = 0
+        for f in range(4):
+            train = fold_of != f
+            problem = _Problem(x[train], y[train], d[train], standardize=True, intercept=True)
+            beta = None
+            for lam in grid:
+                beta, sweeps, _ = _cd_core(
+                    problem.gram, problem.xty, problem.yty, lam, 0.5, 1e-3, DEFAULT_MAX_SWEEPS, beta
+                )
+                total += sweeps
+        assert total <= cyclic_sweeps // 2
 
 
 class TestCrossValidate:
