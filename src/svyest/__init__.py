@@ -1,6 +1,6 @@
 """Design-based survey estimation: model-assisted estimators of finite-population totals."""
 
-from .baselines import PcrSpec, fit_knn, fit_pcr
+from .baselines import fit_knn, fit_pcr
 from .errors import (
     AllocationError,
     ConvergenceError,
@@ -56,7 +56,6 @@ from .sampling import (
     substream,
 )
 from .trees import (
-    ForestSpec,
     Leaf,
     Split,
     TreeNode,

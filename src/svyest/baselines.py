@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,27 +12,6 @@ from .sampling import DrawnSample
 
 #: Component-count rules: floor of p to the named power.
 PCR_RULES = {"P14": 0.25, "P24": 0.5, "P34": 0.75}
-
-
-@dataclass(frozen=True)
-class PcrSpec:
-    """How many principal components to keep: a count, or a power rule."""
-
-    n_components: int | None = None
-    rule: str | None = None
-
-    def __post_init__(self):
-        if (self.n_components is None) == (self.rule is None):
-            raise ParameterError("give exactly one of n_components or rule")
-        if self.n_components is not None and self.n_components < 1:
-            raise ParameterError("n_components must be at least 1")
-        if self.rule is not None and self.rule not in PCR_RULES:
-            raise ParameterError(f"'rule' must be one of {', '.join(PCR_RULES)}, not {self.rule!r}")
-
-    def resolve(self, n_features: int) -> int:
-        if self.n_components is not None:
-            return self.n_components
-        return max(1, math.floor(n_features ** PCR_RULES[self.rule]))
 
 
 def fit_knn(
@@ -95,9 +73,18 @@ def fit_knn(
     )
 
 
-def fit_pcr(sample: DrawnSample, x: np.ndarray, y: np.ndarray, spec: PcrSpec) -> FittedPredictor:
+def fit_pcr(
+    sample: DrawnSample,
+    x: np.ndarray,
+    y: np.ndarray,
+    *,
+    n_components: int | None = None,
+    rule: str | None = None,
+) -> FittedPredictor:
     """Regression on leading principal components of the weighted second moment.
 
+    Keeps ``n_components`` components, or max(1, floor(p^e)) of p by ``rule``
+    ("P14", "P24", "P34": e = 1/4, 2/4, 3/4), or one when neither is given.
     Columns are standardized with design weights; directions come from the
     eigendecomposition of the weighted second-moment matrix of the sample in
     descending eigenvalue order, each direction's largest-magnitude entry made
@@ -105,6 +92,14 @@ def fit_pcr(sample: DrawnSample, x: np.ndarray, y: np.ndarray, spec: PcrSpec) ->
     fit, and queries pass through the identical transform.
     """
     x, y = _check_sample_xy(sample, x, y)
+    if rule is None:
+        n_comp = 1 if n_components is None else n_components
+    elif n_components is not None:
+        raise ParameterError("'rule' and 'n_components' exclude each other")
+    elif rule in PCR_RULES:
+        n_comp = max(1, math.floor(x.shape[1] ** PCR_RULES[rule]))
+    else:
+        raise ParameterError(f"'rule' must be one of {', '.join(PCR_RULES)}, not {rule!r}")
     d = sample.weights
     std = Standardization.fit(x, d)
     u = std.transform(x)
@@ -113,9 +108,8 @@ def fit_pcr(sample: DrawnSample, x: np.ndarray, y: np.ndarray, spec: PcrSpec) ->
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
     rank = int(np.count_nonzero(evals > max(evals[0], 0.0) * 1e-12)) if evals.size else 0
-    n_comp = spec.resolve(x.shape[1])
-    if n_comp > rank:
-        raise ParameterError(f"requested {n_comp} components but numeric rank is {rank}")
+    if not 1 <= n_comp <= rank:
+        raise ParameterError(f"requested {n_comp} components; need at least 1 and at most the numeric rank {rank}")
     directions = evecs[:, :n_comp].copy()
     for j in range(n_comp):
         lead = np.argmax(np.abs(directions[:, j]))

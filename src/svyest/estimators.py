@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -69,19 +69,16 @@ def model_assisted(
     sample: DrawnSample,
     pop: FinitePopulation,
     predictor: FittedPredictor,
-    columns: Sequence[int] | None = None,
 ) -> MAEstimate:
     """Population sum of predictions plus the design-weighted residual sum.
 
     With a zero predictor this reduces to Horvitz-Thompson; with a perfect
     predictor the correction vanishes and the estimate equals the true total.
-    ``columns`` restricts the auxiliary matrix to the view the predictor was
-    fitted on.
+    The predictor sees every column of ``pop.x``.
     """
     if pop.y is None:
         raise ParameterError("population has no survey variable")
-    xw = pop.x if columns is None else pop.x[:, list(columns)]
-    fitted = np.asarray(predictor.predict(xw), dtype=float)
+    fitted = np.asarray(predictor.predict(pop.x), dtype=float)
     if fitted.shape != (pop.n_units,):
         raise PredictorError(
             f"{predictor.method!r} returned {fitted.shape} predictions for {pop.n_units} units"
@@ -105,10 +102,6 @@ def _check_sample_xy(sample: DrawnSample, x: np.ndarray, y: np.ndarray):
     if x.shape[0] != sample.n or y.shape != (sample.n,):
         raise ParameterError("x and y must be aligned with the sample")
     return x, y
-
-
-def _weighted_gram(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return x.T @ (x * d[:, None])
 
 
 def _guard_condition(gram: np.ndarray, context: str) -> float:
@@ -136,7 +129,7 @@ def fit_greg(
     x, y = _check_sample_xy(sample, x, y)
     design = np.column_stack([np.ones(sample.n), x]) if intercept else x
     d = sample.weights
-    gram = _weighted_gram(design, d)
+    gram = design.T @ (design * d[:, None])
     cond = _guard_condition(gram, "fit_greg")
     beta = np.linalg.solve(gram, design.T @ (d * y))
 
@@ -153,6 +146,24 @@ def fit_greg(
     )
 
 
+def _calibration_weights(sample: DrawnSample, x: np.ndarray, tx: np.ndarray, lam: float, context: str) -> np.ndarray:
+    """``d * (1 + x a)`` with ``(x'Dx + lam I) a = tx - x'd``; the condition guard runs at ``lam=0``."""
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ParameterError("lam must be a nonnegative real")
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    tx = np.asarray(tx, dtype=float)
+    if x.shape[0] != sample.n:
+        raise ParameterError("x must be aligned with the sample")
+    if tx.shape != (x.shape[1],):
+        raise ParameterError("tx must hold one total per column of x")
+    d = sample.weights
+    gram = x.T @ (x * d[:, None])
+    if lam == 0:
+        _guard_condition(gram, context)
+    adjustment = np.linalg.solve(gram + lam * np.eye(x.shape[1]), tx - x.T @ d)
+    return d * (1.0 + x @ adjustment)
+
+
 def greg_weights(sample: DrawnSample, x: np.ndarray, tx: np.ndarray) -> np.ndarray:
     """Calibration weights reproducing the GREG total as a weighted y-sum.
 
@@ -161,15 +172,4 @@ def greg_weights(sample: DrawnSample, x: np.ndarray, tx: np.ndarray) -> np.ndarr
     handling is the caller's: prepend a ones column to x and the population
     size to tx.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    tx = np.asarray(tx, dtype=float)
-    if x.shape[0] != sample.n:
-        raise ParameterError("x must be aligned with the sample")
-    if tx.shape != (x.shape[1],):
-        raise ParameterError("tx must hold one total per column of x")
-    d = sample.weights
-    gram = _weighted_gram(x, d)
-    _guard_condition(gram, "greg_weights")
-    gap = tx - x.T @ d
-    adjustment = np.linalg.solve(gram, gap)
-    return d * (1.0 + x @ adjustment)
+    return _calibration_weights(sample, x, tx, 0.0, "greg_weights")

@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import PcrSpec, fit_knn, fit_pcr
+from .baselines import PCR_RULES, fit_knn, fit_pcr
 from .errors import LoadError, ParameterError, RunError, SvyestError
 from .estimators import fit_greg, horvitz_thompson, model_assisted
 from .penalized import (
@@ -44,7 +44,7 @@ from .population import (
     load_population,
 )
 from .sampling import SamplingDesign, Srswor, StratifiedSrs, draw, substream
-from .trees import ForestSpec, fit_forest, grow_tree, tree_predictor
+from .trees import MIN_LEAF_RULES, SPLIT_FEATURE_RULES, fit_forest, grow_tree, tree_predictor
 
 REPORT_HEADER = ("method", "d_noise", "rb_percent", "re_percent", "mse", "r", "seed")
 
@@ -79,6 +79,8 @@ def _is_real(value) -> bool:
 _Rule = tuple[Callable[[Any], bool], str]
 
 _BOOL: _Rule = (lambda v: isinstance(v, bool), "true or false")
+_INT: _Rule = (_is_int, "an integer")
+_REAL: _Rule = (_is_real, "a number")
 _POSITIVE: _Rule = (lambda v: _is_real(v) and 0 < v < math.inf, "a finite positive number")
 
 
@@ -101,7 +103,9 @@ def _check(settings, **rules: _Rule) -> None:
 
 # Each method is a frozen dataclass of its settings, checked on construction.
 # Calling it with (sample, x on the sample, y on the sample, the working
-# population, the method's rng) returns the estimated total.
+# population, the method's rng) returns the estimated total.  Greg, Forest,
+# Knn and Pcr pass their fields as keywords of the same names to their fit
+# function, a module global looked up per call (bench/spans.py rebinds it).
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ class Greg:
         _check(self, intercept=_BOOL)
 
     def __call__(self, sample, xs, ys, working, rng) -> float:
-        return model_assisted(sample, working, fit_greg(sample, xs, ys, intercept=self.intercept)).t_hat
+        return model_assisted(sample, working, fit_greg(sample, xs, ys, **vars(self))).t_hat
 
 
 @dataclass(frozen=True)
@@ -195,8 +199,7 @@ class Tree:
 
 @dataclass(frozen=True)
 class Forest:
-    """``min_leaf`` "n_13_20" is ceil(n^(13/20)); ``n_split_features`` "sqrt",
-    "third" and "all" are floor(sqrt(p)), max(1, p // 3) and p."""
+    """Settings of ``fit_forest``, which resolves the named values."""
 
     n_trees: int = 1000
     min_leaf: int | str = 5
@@ -209,8 +212,8 @@ class Forest:
         _check(
             self,
             n_trees=_count(),
-            min_leaf=_or(("n_13_20",), _count()),
-            n_split_features=_or(("sqrt", "third", "all"), _count()),
+            min_leaf=_or(tuple(MIN_LEAF_RULES), _count()),
+            n_split_features=_or(tuple(SPLIT_FEATURE_RULES), _count()),
             bootstrap=_BOOL,
             forced_features=(
                 lambda v: isinstance(v, (list, tuple)) and all(_is_int(f) and f >= 0 for f in v),
@@ -221,15 +224,7 @@ class Forest:
         object.__setattr__(self, "forced_features", tuple(self.forced_features))
 
     def __call__(self, sample, xs, ys, working, rng) -> float:
-        p = xs.shape[1]
-        named = {"sqrt": None, "third": max(1, p // 3), "all": p}
-        split = named.get(self.n_split_features, self.n_split_features)
-        leaf = math.ceil(sample.n ** (13 / 20)) if self.min_leaf == "n_13_20" else self.min_leaf
-        spec = ForestSpec(
-            n_trees=self.n_trees, min_leaf=leaf, n_split_features=split, bootstrap=self.bootstrap,
-            forced_features=self.forced_features, weighted_bootstrap=self.weighted_bootstrap,
-        )
-        return model_assisted(sample, working, fit_forest(sample, xs, ys, spec, rng)).t_hat
+        return model_assisted(sample, working, fit_forest(sample, xs, ys, rng, **vars(self))).t_hat
 
 
 @dataclass(frozen=True)
@@ -241,7 +236,7 @@ class Knn:
         _check(self, k=_count(), weighted=_BOOL)
 
     def __call__(self, sample, xs, ys, working, rng) -> float:
-        return model_assisted(sample, working, fit_knn(sample, xs, ys, self.k, weighted=self.weighted)).t_hat
+        return model_assisted(sample, working, fit_knn(sample, xs, ys, **vars(self))).t_hat
 
 
 @dataclass(frozen=True)
@@ -250,21 +245,15 @@ class Pcr:
 
     n_components: int | None = None
     rule: str | None = None
-    spec: PcrSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        text = (lambda v: isinstance(v, str), "text")
-        _check(self, n_components=_or((None,), _count()), rule=_or((None,), text))
+        rule = (lambda v: isinstance(v, str) and v in PCR_RULES, f"one of {', '.join(PCR_RULES)}")
+        _check(self, n_components=_or((None,), _count()), rule=_or((None,), rule))
         if self.rule is not None and self.n_components is not None:
             raise ParameterError("'rule' and 'n_components' exclude each other")
-        if self.rule is None:
-            spec = PcrSpec(n_components=1 if self.n_components is None else self.n_components)
-        else:
-            spec = PcrSpec(rule=self.rule)
-        object.__setattr__(self, "spec", spec)
 
     def __call__(self, sample, xs, ys, working, rng) -> float:
-        return model_assisted(sample, working, fit_pcr(sample, xs, ys, self.spec)).t_hat
+        return model_assisted(sample, working, fit_pcr(sample, xs, ys, **vars(self))).t_hat
 
 
 #: Method name -> settings class.  Its fields are the keys a roster entry takes.
@@ -281,18 +270,24 @@ METHODS: dict[str, type] = {
 }
 
 
+def _keys(where: str, config, rules: Mapping[str, _Rule | None]) -> Mapping:
+    """``config``, checked to be a mapping whose keys all have a rule in ``rules`` (None: any value) and pass it."""
+    if not isinstance(config, Mapping):
+        raise LoadError(f"{where} must be a JSON object, not {config!r}")
+    for key, value in config.items():
+        if key not in rules:
+            raise ParameterError(f"{where} has no key {key!r} (it accepts: {', '.join(sorted(rules)) or 'none'})")
+        if rules[key] is not None and not rules[key][0](value):
+            raise ParameterError(f"{where}: {key!r} must be {rules[key][1]}, not {value!r}")
+    return config
+
+
 def _parse(spec: EstimatorSpec):
     """The checked settings object of a roster entry."""
     if spec.method not in METHODS:
         raise ParameterError(f"no such method {spec.method!r}")
     settings = METHODS[spec.method]
-    accepted = sorted(f.name for f in fields(settings) if f.init)
-    for key in spec.params:
-        if key not in accepted:
-            raise ParameterError(
-                f"estimator {spec.label!r}: method {spec.method!r} has no parameter {key!r} "
-                f"(it accepts: {', '.join(accepted) or 'none'})"
-            )
+    _keys(f"estimator {spec.label!r}: method {spec.method!r}", spec.params, {f.name: None for f in fields(settings) if f.init})
     try:
         return settings(**spec.params)
     except ParameterError as exc:
@@ -336,10 +331,10 @@ class McReport:
 class McScenario:
     """A complete experiment description; immutable and process-safe.
 
-    ``d_noise_levels`` lists how many extra auxiliary columns join the
-    model's structural columns in the working matrix; ``run_scenario``
-    handles one level, ``sweep_dnoise`` stacks them.  ``methods`` holds the
-    checked settings of each roster entry, in roster order.
+    ``d_noise_levels``, strictly increasing, counts the extra auxiliary
+    columns joining the structural columns in the working matrix;
+    ``run_scenario`` handles one level, ``sweep_dnoise`` stacks them.
+    ``methods`` holds the checked settings of each roster entry, in order.
     """
 
     population: FinitePopulation
@@ -354,11 +349,13 @@ class McScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        levels = (
+            lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(_is_int, v))
+            and all(a < b for a, b in zip(v, v[1:])),
+            "a nonempty, strictly increasing list of integers",
+        )
+        _check(self, d_noise_levels=levels, replicates=_count(), master_seed=_count(0))
         object.__setattr__(self, "d_noise_levels", tuple(int(v) for v in self.d_noise_levels))
-        if self.replicates < 1:
-            raise ParameterError("need at least one replicate")
-        if self.master_seed < 0:
-            raise ParameterError("master_seed must be nonnegative")
         if self.population.y is None:
             raise ParameterError("scenario population has no survey variable")
         if not self.estimators:
@@ -369,8 +366,6 @@ class McScenario:
         object.__setattr__(self, "methods", tuple(_parse(spec) for spec in self.estimators))
         structural = self.structural()
         budget = self.population.n_aux - len(structural)
-        if not self.d_noise_levels:
-            raise ParameterError("need at least one d_noise level")
         for level in self.d_noise_levels:
             if level < 0 or level > budget:
                 raise ParameterError(
@@ -578,13 +573,7 @@ def run_scenario(scenario: McScenario, *, threads: int = 1, log_estimates: bool 
     )
 
 
-def sweep_dnoise(
-    scenario: McScenario,
-    levels: Sequence[int] | None = None,
-    *,
-    threads: int = 1,
-    log_estimates: bool = True,
-) -> McReport:
+def sweep_dnoise(scenario: McScenario, *, threads: int = 1, log_estimates: bool = True) -> McReport:
     """Run every noise level with paired replicate seeds and stack the rows.
 
     Each level is one ``run_scenario`` call, in ascending order.  With
@@ -593,18 +582,13 @@ def sweep_dnoise(
     it is shut down, its workers joined, before this call returns or raises.
     No process outlives the call.
     """
-    if levels is None:
-        levels = scenario.d_noise_levels
-    levels = tuple(int(v) for v in levels)
-    if list(levels) != sorted(levels):
-        raise ParameterError("d_noise levels must be sorted ascending")
     scenario = _with_ht(scenario)
     pool = _start_pool(scenario, threads) if threads > 1 and scenario.replicates > 1 else None
     rows: list[McRow] = []
     estimates: dict[tuple[str, int], np.ndarray] = {}
     failures: dict[tuple[str, int], tuple[str, ...]] = {}
     try:
-        for level in levels:
+        for level in scenario.d_noise_levels:
             part = run_scenario(
                 replace(scenario, d_noise_levels=(level,)),
                 threads=threads,
@@ -685,7 +669,8 @@ def read_report(path: str | Path) -> McReport:
     return McReport(rows=tuple(rows))
 
 
-def _design_from_config(config: Mapping) -> SamplingDesign:
+def _design_from_config(config) -> SamplingDesign:
+    _keys("'design'", config, {"kind": None, "n": _INT, "allocation": None, "aux_column": _or((None,), _INT)})
     kind = config.get("kind", "srswor")
     if kind == "srswor":
         return Srswor(n=int(config["n"]))
@@ -698,11 +683,16 @@ def _design_from_config(config: Mapping) -> SamplingDesign:
     raise ParameterError(f"unknown design kind {kind!r}")
 
 
-def _population_from_config(config: Mapping, base_dir: Path) -> FinitePopulation:
+def _population_from_config(config, base_dir: Path) -> FinitePopulation:
+    _keys("'population'", config, dict.fromkeys(("generator", "file", "strata")))
     if ("generator" in config) == ("file" in config):
         raise ParameterError("population config needs exactly one of 'generator' or 'file'")
     if "generator" in config:
         gen = config["generator"]
+        _keys(
+            "'population.generator'", gen,
+            {"units": _INT, "columns": _INT, "rho": _REAL, "seed": _INT, "loc": _REAL, "scale": _REAL},
+        )
         pop = generate_auxiliary(
             int(gen["units"]),
             int(gen["columns"]),
@@ -716,9 +706,10 @@ def _population_from_config(config: Mapping, base_dir: Path) -> FinitePopulation
         if isinstance(file_cfg, str):
             pop = load_population(base_dir / file_cfg)
         else:
-            schema_cfg = file_cfg.get("schema")
+            schema_cfg = _keys("'population.file'", file_cfg, dict.fromkeys(("path", "schema"))).get("schema")
             schema = None
             if schema_cfg:
+                _keys("'population.file.schema'", schema_cfg, dict.fromkeys(("x", "y", "strata", "ids")))
                 schema = ColumnSchema(
                     x=tuple(schema_cfg["x"]) if "x" in schema_cfg else None,
                     y=schema_cfg.get("y"),
@@ -728,6 +719,7 @@ def _population_from_config(config: Mapping, base_dir: Path) -> FinitePopulation
             pop = load_population(base_dir / file_cfg["path"], schema)
     strata_cfg = config.get("strata")
     if strata_cfg:
+        _keys("'population.strata'", strata_cfg, {"count": _INT, "column": _INT})
         pop = assign_strata_by_quantile(pop, int(strata_cfg.get("column", 0)), int(strata_cfg["count"]))
     return pop
 
@@ -737,7 +729,8 @@ def load_scenario(path: str | Path) -> McScenario:
 
     The layout is documented in the README: a population source (generator or
     file), an optional model, a design, an estimator roster, noise levels,
-    a replicate count, and the master seed.
+    a replicate count, and the master seed.  An unknown key or a value of the
+    wrong type fails with an error naming the section and the key.
     """
     path = Path(path)
     if not path.exists():
@@ -747,10 +740,13 @@ def load_scenario(path: str | Path) -> McScenario:
     except json.JSONDecodeError as exc:
         raise LoadError(f"{path}: invalid JSON ({exc})") from exc
     try:
+        _keys("scenario", config, dict.fromkeys(("population", "model", "design", "estimators", "d_noise_levels",
+                                                 "replicates", "master_seed", "structural_columns")))
         pop = _population_from_config(config["population"], path.parent)
         model = None
         if "model" in config:
             model_cfg = config["model"]
+            _keys("'model'", model_cfg, {"variant": None, "noise_scale": _or((None,), _REAL), "seed": _INT})
             model = DgpModel(
                 variant=model_cfg["variant"],
                 noise_scale=model_cfg.get("noise_scale"),
@@ -760,6 +756,8 @@ def load_scenario(path: str | Path) -> McScenario:
                 pop = generate_survey_variable(pop, model)
         roster = []
         for entry in config["estimators"]:
+            if not isinstance(entry, Mapping):
+                raise LoadError(f"{path}: each 'estimators' entry must be a JSON object, not {entry!r}")
             params = {k: v for k, v in entry.items() if k not in ("method", "name")}
             roster.append(EstimatorSpec(method=entry["method"], name=entry.get("name"), params=params))
         structural = config.get("structural_columns")
@@ -767,9 +765,9 @@ def load_scenario(path: str | Path) -> McScenario:
             population=pop,
             design=_design_from_config(config["design"]),
             estimators=tuple(roster),
-            d_noise_levels=tuple(config["d_noise_levels"]),
-            replicates=int(config["replicates"]),
-            master_seed=int(config["master_seed"]),
+            d_noise_levels=config["d_noise_levels"],
+            replicates=config["replicates"],
+            master_seed=config["master_seed"],
             model=model,
             structural_columns=tuple(structural) if structural is not None else None,
         )

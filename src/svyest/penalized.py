@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .estimators import FittedPredictor, LinearPredictor, _check_sample_xy, _guard_condition, _weighted_gram
+from .estimators import FittedPredictor, LinearPredictor, _calibration_weights, _check_sample_xy, _guard_condition
 from .population import array_eq
 from .sampling import DrawnSample
 
@@ -206,20 +206,7 @@ def ridge_weights(sample: DrawnSample, x: np.ndarray, tx: np.ndarray, lam: float
     built from ``fit_ridge(..., standardize=False, intercept=False)`` at the
     same penalty; at ``lam=0`` they reduce to the GREG calibration weights.
     """
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ParameterError("lam must be a nonnegative real")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    tx = np.asarray(tx, dtype=float)
-    if x.shape[0] != sample.n:
-        raise ParameterError("x must be aligned with the sample")
-    if tx.shape != (x.shape[1],):
-        raise ParameterError("tx must hold one total per column of x")
-    d = sample.weights
-    gram = _weighted_gram(x, d)
-    if lam == 0:
-        _guard_condition(gram, "ridge_weights(lam=0)")
-    adjustment = np.linalg.solve(gram + lam * np.eye(x.shape[1]), tx - x.T @ d)
-    return d * (1.0 + x @ adjustment)
+    return _calibration_weights(sample, x, tx, lam, "ridge_weights(lam=0)")
 
 
 def _certificate(gram, xty, yty, lam, alpha, beta) -> tuple[float, float]:

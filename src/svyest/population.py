@@ -286,11 +286,6 @@ class ColumnSchema:
     ids: str | None = None
 
 
-#: Schema applied when none is given: reserved header names take their role,
-#: every other column is auxiliary.
-DEFAULT_SCHEMA = ColumnSchema(y="y", strata="stratum", ids="id")
-
-
 def _parse_cell(raw: str, row: int, name: str) -> float:
     try:
         value = float(raw)

@@ -13,13 +13,14 @@ raised.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ParameterError
-from .estimators import FittedPredictor, MAEstimate
+from .estimators import FittedPredictor, MAEstimate, _check_sample_xy
 from .population import FinitePopulation
 from .sampling import DrawnSample
 
@@ -52,30 +53,14 @@ class Split:
 TreeNode = Union[Leaf, Split]
 
 
-@dataclass(frozen=True)
-class ForestSpec:
-    """Random-forest controls.
-
-    ``n_split_features=None`` means floor(sqrt(p)) at fit time;
-    ``forced_features`` are always added to each split's candidate set.
-    ``weighted_bootstrap`` resamples with probability proportional to the
-    design weights instead of uniformly.
-    """
-
-    n_trees: int = 1000
-    min_leaf: int = 5
-    n_split_features: int | None = None
-    bootstrap: bool = True
-    forced_features: tuple[int, ...] = ()
-    weighted_bootstrap: bool = False
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise ParameterError("need at least 1 tree")
-        if self.min_leaf < 1:
-            raise ParameterError("min_leaf must be at least 1")
-        if self.n_split_features is not None and self.n_split_features < 1:
-            raise ParameterError("n_split_features must be at least 1")
+#: Named ``n_split_features`` values, as functions of the feature count p.
+SPLIT_FEATURE_RULES = {
+    "sqrt": lambda p: max(1, int(np.floor(np.sqrt(p)))),
+    "third": lambda p: max(1, p // 3),
+    "all": lambda p: p,
+}
+#: Named ``min_leaf`` values, as functions of the sample size n.
+MIN_LEAF_RULES = {"n_13_20": lambda n: math.ceil(n ** (13 / 20))}
 
 
 def best_split(
@@ -188,13 +173,10 @@ def grow_tree(
 
     Nodes with at least ``2 * min_leaf`` units are split while an admissible
     positive-gain split exists; with ``n_split_features`` set, each split
-    searches a fresh random feature subset (plus ``forced_features``).
-    Deterministic when all features are candidates.
+    searches a fresh random feature subset (plus ``forced_features``).  With
+    it None, every feature is a candidate and the tree is deterministic.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != sample.n or y.shape != (sample.n,):
-        raise ParameterError("x and y must be aligned with the sample")
+    x, y = _check_sample_xy(sample, x, y)
     if min_leaf < 1:
         raise ParameterError("min_leaf must be at least 1")
     if sample.n < min_leaf:
@@ -243,12 +225,7 @@ def tree_predictor(tree: TreeNode) -> FittedPredictor:
     )
 
 
-def tree_ma_estimate(
-    pop: FinitePopulation,
-    sample: DrawnSample,
-    tree: TreeNode,
-    columns: Sequence[int] | None = None,
-) -> MAEstimate:
+def tree_ma_estimate(pop: FinitePopulation, sample: DrawnSample, tree: TreeNode) -> MAEstimate:
     """Projection-form total: the population sum of leaf coefficients.
 
     For a tree grown on the full design-weighted sample the residual
@@ -257,8 +234,7 @@ def tree_ma_estimate(
     """
     if pop.y is None:
         raise ParameterError("population has no survey variable")
-    xw = pop.x if columns is None else pop.x[:, list(columns)]
-    fitted = predict_tree(tree, xw)
+    fitted = predict_tree(tree, pop.x)
     correction = float(np.sum((pop.y[sample.indices] - fitted[sample.indices]) * sample.weights))
     return MAEstimate(
         t_hat=float(fitted.sum()),
@@ -268,42 +244,56 @@ def tree_ma_estimate(
     )
 
 
+def _resolve(name: str, value, rules, size: int) -> int:
+    """A named value's rule applied to ``size``, or the count given."""
+    if isinstance(value, str) and value in rules:
+        return rules[value](size)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1:
+        return int(value)
+    raise ParameterError(f"{name!r} must be {' or '.join([*map(repr, rules), 'an integer of at least 1'])}, not {value!r}")
+
+
 def fit_forest(
     sample: DrawnSample,
     x: np.ndarray,
     y: np.ndarray,
-    spec: ForestSpec,
     rng: np.random.Generator,
+    *,
+    n_trees: int = 1000,
+    min_leaf: int | str = 5,
+    n_split_features: int | str = "sqrt",
+    bootstrap: bool = True,
+    forced_features: Sequence[int] = (),
+    weighted_bootstrap: bool = False,
 ) -> FittedPredictor:
     """Random forest: trees on bootstrap resamples, predictions averaged.
 
     Each resampled unit keeps its inclusion probability (duplicates contribute
-    multiply to leaf means), and each split searches ``n_split_features``
-    freshly drawn features plus any forced ones.  Tree b is built from spawned
-    substream b, so the forest is reproducible given the stream.
+    multiply to leaf means), or in proportion to the design weights with
+    ``weighted_bootstrap``.  Each split searches ``n_split_features`` freshly
+    drawn features ("sqrt", "third", "all": floor(sqrt(p)), max(1, p // 3),
+    p) plus any forced ones; ``min_leaf`` "n_13_20" is ceil(n^(13/20)).
+    Tree b is built from spawned substream b, so the forest is reproducible
+    given the stream.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != sample.n or y.shape != (sample.n,):
-        raise ParameterError("x and y must be aligned with the sample")
+    x, y = _check_sample_xy(sample, x, y)
+    n_trees = _resolve("n_trees", n_trees, {}, 0)
     p = x.shape[1]
-    k = spec.n_split_features
-    if k is None:
-        k = max(1, int(np.floor(np.sqrt(p))))
+    k = _resolve("n_split_features", n_split_features, SPLIT_FEATURE_RULES, p)
+    leaf = _resolve("min_leaf", min_leaf, MIN_LEAF_RULES, sample.n)
     if k > p:
         raise ParameterError(f"cannot sample {k} features from {p}")
-    _check_forced(spec.forced_features, p)
-    n = sample.n
-    d = sample.weights
-    boot_p = d / d.sum() if spec.weighted_bootstrap else None
+    forced = tuple(forced_features)
+    _check_forced(forced, p)
+    boot_p = sample.weights / sample.weights.sum() if weighted_bootstrap else None
     trees = []
-    for tree_rng in rng.spawn(spec.n_trees):
-        if spec.bootstrap:
-            take = tree_rng.choice(n, size=n, replace=True, p=boot_p)
+    for tree_rng in rng.spawn(n_trees):
+        if bootstrap:
+            take = tree_rng.choice(sample.n, size=sample.n, replace=True, p=boot_p)
             xb, yb, pib = x[take], y[take], sample.pi[take]
         else:
             xb, yb, pib = x, y, sample.pi
-        trees.append(_grow(xb, yb, pib, spec.min_leaf, tree_rng, k if k < p else None, spec.forced_features))
+        trees.append(_grow(xb, yb, pib, leaf, tree_rng, k, forced))
     trees = tuple(trees)
 
     def predict(xnew: np.ndarray) -> np.ndarray:
@@ -316,6 +306,6 @@ def fit_forest(
     return FittedPredictor(
         method="forest",
         predict=predict,
-        params={"trees": trees, "spec": spec},
-        diagnostics={"n_trees": float(spec.n_trees), "n_split_features": float(k)},
+        params={"trees": trees},
+        diagnostics={"n_trees": float(n_trees), "n_split_features": float(k), "min_leaf": float(leaf)},
     )

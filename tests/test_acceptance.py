@@ -24,7 +24,6 @@ from svyest import (
     fit_forest,
     fit_greg,
     fit_ridge,
-    ForestSpec,
     FinitePopulation,
     generate_auxiliary,
     generate_survey_variable,
@@ -189,8 +188,7 @@ def test_criterion_4_tree_discipline_and_identities():
         )
 
         if trial < 30:
-            spec = ForestSpec(n_trees=5, min_leaf=5, n_split_features=2)
-            forest = fit_forest(sample, xs, ys, spec, substream(4004, trial, 2))
+            forest = fit_forest(sample, xs, ys, substream(4004, trial, 2), n_trees=5, min_leaf=5, n_split_features=2)
             whole = model_assisted(sample, pop, forest).t_hat
             bagged = np.mean(
                 [model_assisted(sample, pop, tree_predictor(t)).t_hat for t in forest.params["trees"]]

@@ -4,7 +4,6 @@ import pytest
 from svyest import (
     DrawnSample,
     ParameterError,
-    PcrSpec,
     Standardization,
     fit_greg,
     fit_knn,
@@ -110,25 +109,33 @@ class TestKnn:
             fit_knn(s, x, y, k=k)
 
 
-class TestPcrSpec:
-    def test_rules_resolve_by_power(self):
-        assert PcrSpec(rule="P14").resolve(672) == 5
-        assert PcrSpec(rule="P24").resolve(672) == 25
-        assert PcrSpec(rule="P34").resolve(672) == 131
-
-    def test_exactly_one_setting(self):
-        with pytest.raises(ParameterError):
-            PcrSpec()
-        with pytest.raises(ParameterError):
-            PcrSpec(n_components=2, rule="P14")
-        with pytest.raises(ParameterError):
-            PcrSpec(rule="P44")
-
-
 class TestFitPcr:
+    def test_rules_resolve_by_power(self):
+        s, x, y = _instance(4, n=150, p=672)
+        for rule, count in (("P14", 5), ("P24", 25), ("P34", 131)):
+            assert fit_pcr(s, x, y, rule=rule).diagnostics["n_components"] == count
+
+    def test_neither_setting_keeps_one_component(self):
+        s, x, y = _instance(3)
+        default = fit_pcr(s, x, y)
+        one = fit_pcr(s, x, y, n_components=1)
+        assert default.diagnostics["n_components"] == 1
+        assert np.array_equal(default.params["directions"], one.params["directions"])
+        assert np.array_equal(default.predict(x), one.predict(x))
+
+    def test_settings_checked(self):
+        s, x, y = _instance(2)
+        for settings, message in (
+            ({"n_components": 2, "rule": "P14"}, "exclude"),
+            ({"rule": "P44"}, "'rule'"),
+            ({"n_components": 0}, "at least 1"),
+        ):
+            with pytest.raises(ParameterError, match=message):
+                fit_pcr(s, x, y, **settings)
+
     def test_full_rank_equals_greg(self):
         s, x, y = _instance(5)
-        pcr = fit_pcr(s, x, y, PcrSpec(n_components=x.shape[1]))
+        pcr = fit_pcr(s, x, y, n_components=x.shape[1])
         greg = fit_greg(s, x, y, intercept=True)
         queries = substream(5, 9).normal(0.0, 1.0, (25, x.shape[1]))
         assert np.allclose(pcr.predict(queries), greg.predict(queries), atol=1e-6)
@@ -140,7 +147,7 @@ class TestFitPcr:
         x = np.outer(factor, np.array([1.0, -2.0, 0.5]))
         y = 2.0 + 3.0 * factor + rng.normal(0.0, 0.1, n)
         s = DrawnSample(indices=np.arange(n), pi=rng.uniform(0.4, 0.9, n))
-        pcr = fit_pcr(s, x, y, PcrSpec(n_components=1))
+        pcr = fit_pcr(s, x, y, n_components=1)
         direct = fit_greg(s, factor.reshape(-1, 1), y, intercept=True)
         probe_factor = rng.normal(0.0, 1.0, 10)
         probes = np.outer(probe_factor, np.array([1.0, -2.0, 0.5]))
@@ -152,11 +159,11 @@ class TestFitPcr:
         x = np.outer(factor, np.array([1.0, 2.0]))
         s = DrawnSample(indices=np.arange(20), pi=np.full(20, 0.5))
         with pytest.raises(ParameterError, match="rank"):
-            fit_pcr(s, x, rng.normal(0.0, 1.0, 20), PcrSpec(n_components=2))
+            fit_pcr(s, x, rng.normal(0.0, 1.0, 20), n_components=2)
 
     def test_eigenvalues_descend_and_scores_uncorrelated(self):
         s, x, y = _instance(8, n=40, p=5)
-        pcr = fit_pcr(s, x, y, PcrSpec(n_components=5))
+        pcr = fit_pcr(s, x, y, n_components=5)
         evals = pcr.params["eigenvalues"]
         assert np.all(np.diff(evals) <= 1e-9)
         std = pcr.params["standardization"]
@@ -169,8 +176,8 @@ class TestFitPcr:
 
     def test_sign_convention_deterministic(self):
         s, x, y = _instance(9)
-        a = fit_pcr(s, x, y, PcrSpec(n_components=3)).params["directions"]
-        b = fit_pcr(s, x, y, PcrSpec(n_components=3)).params["directions"]
+        a = fit_pcr(s, x, y, n_components=3).params["directions"]
+        b = fit_pcr(s, x, y, n_components=3).params["directions"]
         assert np.array_equal(a, b)
         for j in range(a.shape[1]):
             assert a[np.argmax(np.abs(a[:, j])), j] > 0

@@ -3,6 +3,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import pytest
+
 from svyest import horvitz_thompson, load_population, montecarlo, read_report
 from svyest.cli import main
 from svyest.errors import SvyestError
@@ -90,6 +92,27 @@ class TestSimulate:
         assert "'forest'" in err and "'n_split_features'" in err and "Traceback" not in err
         assert not (tmp_path / "o.csv").exists()
 
+
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            ("design", "n", "two hundred", "'n'"),
+            (None, "estimators", ["knn"], "'estimators'"),
+            (None, "structural_column", [0, 1, 2], "'structural_column'"),
+            ("design", "allocaton", "optimal", "'allocaton'"),
+            (None, "d_noise_levels", [2, 2], "'d_noise_levels'"),
+        ],
+    )
+    def test_bad_scenario_input_is_runtime_error(self, tmp_path, capsys, section, key, value, named):
+        config = json.loads(_scenario_config(tmp_path).read_text())
+        (config if section is None else config[section])[key] = value
+        bad = tmp_path / "bad_input.json"
+        bad.write_text(json.dumps(config))
+        code = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_failures_summarised_on_stderr(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(montecarlo.METHODS, "stub_fails_first", _FailsFirst)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import ctypes
+import inspect
 import itertools
 import json
 import multiprocessing
@@ -38,7 +39,6 @@ from svyest import (
 )
 from svyest.errors import SvyestError
 from svyest import montecarlo
-from svyest.baselines import PcrSpec
 from svyest.estimators import LinearPredictor
 from svyest.montecarlo import REPORT_HEADER
 
@@ -326,6 +326,74 @@ class TestParameterChecks:
                 _scenario(pop, roster, levels=(2, 3))
 
 
+def _loader_config():
+    return {
+        "population": {
+            "generator": {"units": 60, "columns": 6, "rho": 0.3, "seed": 5},
+            "strata": {"count": 2, "column": 0},
+        },
+        "model": {"variant": "Y1", "noise_scale": 100.0, "seed": 6},
+        "design": {"kind": "srswor", "n": 12},
+        "estimators": [{"method": "greg"}],
+        "d_noise_levels": [0, 2],
+        "replicates": 3,
+        "master_seed": 1,
+    }
+
+
+class TestScenarioLoader:
+    """Bad scenario input fails on load with a svyest error naming the section and the key."""
+
+    def _load(self, tmp_path, config):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        return load_scenario(path)
+
+    def test_good_config_loads(self, tmp_path):
+        scenario = self._load(tmp_path, _loader_config())
+        assert scenario.d_noise_levels == (0, 2)
+        assert scenario.population.strata is not None
+
+    @pytest.mark.parametrize(
+        "section, key, value, match",
+        [
+            (("design",), "n", "two hundred", r"'design': 'n' must be an integer"),
+            (("design",), "n", 12.5, r"'design': 'n'"),
+            (("design",), "size", 12, r"'design' has no key 'size'"),
+            (("design",), "aux_column", "x", r"'design': 'aux_column'"),
+            (("model",), "noise", 1.0, r"'model' has no key 'noise'"),
+            (("model",), "noise_scale", "high", r"'model': 'noise_scale'"),
+            (("population",), "strat", {}, r"'population' has no key 'strat'"),
+            (("population", "generator"), "row", 0.3, r"'population.generator' has no key 'row'"),
+            (("population", "generator"), "units", "60", r"'population.generator': 'units'"),
+            (("population", "strata"), "counts", 2, r"'population.strata' has no key 'counts'"),
+            (("population", "strata"), "count", "2", r"'population.strata': 'count'"),
+            ((), "structural_column", [0, 1, 2], r"scenario has no key 'structural_column'"),
+            ((), "replicates", "3", r"'replicates'"),
+            ((), "master_seed", -1, r"'master_seed'"),
+            ((), "d_noise_levels", ["0"], r"'d_noise_levels'"),
+            ((), "d_noise_levels", [5, 5], r"'d_noise_levels'"),
+        ],
+    )
+    def test_bad_value_or_key_names_section_and_key(self, tmp_path, section, key, value, match):
+        config = _loader_config()
+        target = config
+        for name in section:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(ParameterError, match=match):
+            self._load(tmp_path, config)
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [("estimators", ["knn"], "'estimators' entry"), ("design", "srswor", "'design' must be a JSON object")],
+    )
+    def test_non_object_section_rejected(self, tmp_path, key, value, match):
+        config = {**_loader_config(), key: value}
+        with pytest.raises(LoadError, match=match):
+            self._load(tmp_path, config)
+
+
 #: Every key of every built-in method with its default.
 _PENALIZED_DEFAULTS = {
     "lam": "cv",
@@ -369,8 +437,13 @@ class TestBuiltinMethods:
         keys = {f.name: getattr(settings, f.name) for f in fields(settings) if f.init}
         assert keys == _BUILTIN_DEFAULTS[method]
 
-    def test_pcr_defaults_to_one_component(self):
-        assert montecarlo.METHODS["pcr"]().spec == PcrSpec(n_components=1)
+    @pytest.mark.parametrize(
+        "method, fit", [("greg", "fit_greg"), ("forest", "fit_forest"), ("knn", "fit_knn"), ("pcr", "fit_pcr")]
+    )
+    def test_fields_are_the_fit_keywords(self, method, fit):
+        # the settings object passes its fields straight through as keywords
+        keywords = set(inspect.signature(getattr(montecarlo, fit)).parameters) - {"sample", "x", "y", "rng"}
+        assert {f.name for f in fields(montecarlo.METHODS[method])} == keywords
 
     def test_readme_scenario_builds(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -435,9 +508,9 @@ class TestSweep:
 
     def test_unsorted_levels_rejected(self):
         pop = _make_population(p=8)
-        scenario = _scenario(pop, [EstimatorSpec("greg")], levels=(0, 3))
-        with pytest.raises(ParameterError, match="sorted"):
-            sweep_dnoise(scenario, levels=(3, 0))
+        for levels in [(3, 0), (3, 3), (0, 3, 3), ()]:
+            with pytest.raises(ParameterError, match="'d_noise_levels'"):
+                _scenario(pop, [EstimatorSpec("greg")], levels=levels)
 
     def test_stratified_design_scenario(self):
         pop = _make_population(n=80, p=6)

@@ -4,7 +4,6 @@ import pytest
 from svyest import (
     DrawnSample,
     FinitePopulation,
-    ForestSpec,
     Leaf,
     ParameterError,
     Split,
@@ -297,16 +296,14 @@ class TestForest:
 
     def test_degenerate_forest_equals_tree(self):
         s, x, y = self._data(1)
-        spec = ForestSpec(n_trees=1, min_leaf=5, n_split_features=4, bootstrap=False)
-        forest = fit_forest(s, x, y, spec, substream(1, 9))
+        forest = fit_forest(s, x, y, substream(1, 9), n_trees=1, min_leaf=5, n_split_features=4, bootstrap=False)
         tree = grow_tree(s, x, y, min_leaf=5)
         grid = substream(2, 9).normal(0.0, 1.0, (50, 4))
         assert np.array_equal(forest.predict(grid), predict_tree(tree, grid))
 
     def test_prediction_is_mean_of_trees(self):
         s, x, y = self._data(2)
-        spec = ForestSpec(n_trees=7, min_leaf=5)
-        forest = fit_forest(s, x, y, spec, substream(2, 11))
+        forest = fit_forest(s, x, y, substream(2, 11), n_trees=7, min_leaf=5)
         grid = substream(3, 11).normal(0.0, 1.0, (25, 4))
         stacked = np.vstack([predict_tree(t, grid) for t in forest.params["trees"]])
         assert np.allclose(forest.predict(grid), stacked.mean(axis=0), rtol=1e-12)
@@ -315,9 +312,9 @@ class TestForest:
 
     def test_same_stream_same_forest(self):
         s, x, y = self._data(3)
-        spec = ForestSpec(n_trees=4, min_leaf=6, n_split_features=2)
-        a = fit_forest(s, x, y, spec, substream(5, 1))
-        b = fit_forest(s, x, y, spec, substream(5, 1))
+        settings = dict(n_trees=4, min_leaf=6, n_split_features=2)
+        a = fit_forest(s, x, y, substream(5, 1), **settings)
+        b = fit_forest(s, x, y, substream(5, 1), **settings)
         grid = substream(6, 1).normal(0.0, 1.0, (30, 4))
         assert np.array_equal(a.predict(grid), b.predict(grid))
 
@@ -329,8 +326,9 @@ class TestForest:
         y = x[:, 0] ** 2 + rng.normal(0.0, 0.5, n_pop)
         pop = FinitePopulation(ids=np.arange(1, n_pop + 1), x=x, y=y)
         s = DrawnSample(indices=np.arange(0, n_pop, 3), pi=np.full(50, 1 / 3))
-        spec = ForestSpec(n_trees=5, min_leaf=5, n_split_features=2)
-        forest = fit_forest(s, pop.x[s.indices], pop.y[s.indices], spec, substream(seed, 8))
+        forest = fit_forest(
+            s, pop.x[s.indices], pop.y[s.indices], substream(seed, 8), n_trees=5, min_leaf=5, n_split_features=2
+        )
         whole = model_assisted(s, pop, forest)
         per_tree = [
             model_assisted(s, pop, tree_predictor(tree)).t_hat for tree in forest.params["trees"]
@@ -344,7 +342,7 @@ class TestForest:
         y = np.full(n_pop, 4.2)
         pop = FinitePopulation(ids=np.arange(1, n_pop + 1), x=x, y=y)
         s = DrawnSample(indices=np.arange(0, 60, 2), pi=np.full(30, 0.5))
-        forest = fit_forest(s, pop.x[s.indices], pop.y[s.indices], ForestSpec(n_trees=3, min_leaf=4), substream(9, 2))
+        forest = fit_forest(s, pop.x[s.indices], pop.y[s.indices], substream(9, 2), n_trees=3, min_leaf=4)
         assert model_assisted(s, pop, forest).t_hat == pytest.approx(n_pop * 4.2, rel=1e-12)
 
     def test_forced_features_always_candidates(self):
@@ -355,8 +353,9 @@ class TestForest:
         x = rng.normal(0.0, 1.0, (n, 6))
         y = 5.0 * (x[:, 5] > 0)
         s = _sample(n, seed=10)
-        spec = ForestSpec(n_trees=10, min_leaf=5, n_split_features=1, forced_features=(5,), bootstrap=False)
-        forest = fit_forest(s, x, y, spec, substream(10, 3))
+        forest = fit_forest(
+            s, x, y, substream(10, 3), n_trees=10, min_leaf=5, n_split_features=1, forced_features=(5,), bootstrap=False
+        )
         for tree in forest.params["trees"]:
             assert isinstance(tree, Split)
             assert tree.feature == 5
@@ -368,10 +367,10 @@ class TestForest:
         x[:, 6] = x[:, 1]
         y = np.abs(x[:, 0]) + x[:, 1] + rng.normal(0.0, 0.5, n)
         s = _sample(n, seed=12)
-        spec = ForestSpec(n_trees=6, min_leaf=3, n_split_features=2, forced_features=(4,), weighted_bootstrap=True)
-        vectorised = fit_forest(s, x, y, spec, substream(12, 3)).params["trees"]
+        settings = dict(n_trees=6, min_leaf=3, n_split_features=2, forced_features=(4,), weighted_bootstrap=True)
+        vectorised = fit_forest(s, x, y, substream(12, 3), **settings).params["trees"]
         monkeypatch.setattr(trees, "best_split", _loop_split)
-        looped = fit_forest(s, x, y, spec, substream(12, 3)).params["trees"]
+        looped = fit_forest(s, x, y, substream(12, 3), **settings).params["trees"]
         assert vectorised == looped
         assert any(isinstance(tree, Split) for tree in looped)
 
@@ -379,17 +378,42 @@ class TestForest:
     def test_forced_features_out_of_range_rejected(self, forced):
         s, x, y = self._data(5)
         x = np.hstack([x, x[:, :2]])
-        spec = ForestSpec(n_trees=2, min_leaf=5, n_split_features=2, forced_features=forced)
         with pytest.raises(ParameterError, match=r"forced_features.*\[0, 6\)"):
-            fit_forest(s, x, y, spec, substream(5, 1))
+            fit_forest(s, x, y, substream(5, 1), n_trees=2, min_leaf=5, n_split_features=2, forced_features=forced)
         with pytest.raises(ParameterError, match="forced_features"):
             grow_tree(s, x, y, 5, substream(5, 1), 2, forced)
 
-    def test_spec_validation(self):
-        with pytest.raises(ParameterError):
-            ForestSpec(n_trees=0)
-        with pytest.raises(ParameterError):
-            ForestSpec(min_leaf=0)
+    def test_keyword_validation(self):
         s, x, y = self._data(4)
-        with pytest.raises(ParameterError):
-            fit_forest(s, x, y, ForestSpec(n_split_features=99), substream(1))
+        for settings, key in (
+            ({"n_trees": 0}, "n_trees"),
+            ({"n_trees": True}, "n_trees"),
+            ({"min_leaf": 0}, "min_leaf"),
+            ({"min_leaf": "n13_20"}, "min_leaf"),
+            ({"n_split_features": 99}, "cannot sample 99"),
+            ({"n_split_features": 0}, "n_split_features"),
+            ({"n_split_features": None}, "n_split_features"),
+            ({"n_split_features": "Sqrt"}, "n_split_features"),
+        ):
+            with pytest.raises(ParameterError, match=key):
+                fit_forest(s, x, y, substream(1), **settings)
+
+    @pytest.mark.parametrize(
+        "key, name, count",
+        [
+            ("n_split_features", "third", 2),
+            ("n_split_features", "all", 7),
+            ("n_split_features", "sqrt", 2),
+            ("min_leaf", "n_13_20", 19),
+        ],
+    )
+    def test_named_values_equal_their_counts(self, key, name, count):
+        # 90 units and 7 features: p // 3 = 2, floor(sqrt(7)) = 2, ceil(90^(13/20)) = 19
+        s, x, y = self._data(6)
+        x = np.hstack([x, x[:, :3] ** 2])
+        base = {"n_trees": 3, "min_leaf": 4, "n_split_features": 3}
+        by_name = fit_forest(s, x, y, substream(6, 2), **{**base, key: name})
+        by_count = fit_forest(s, x, y, substream(6, 2), **{**base, key: count})
+        assert by_name.params["trees"] == by_count.params["trees"]
+        assert by_name.diagnostics == by_count.diagnostics
+        assert any(isinstance(tree, Split) for tree in by_name.params["trees"])
