@@ -16,9 +16,9 @@ import math
 import numbers
 import os
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,51 +54,101 @@ FAILURE_SHARE_LIMIT = 0.01
 HT_METHOD = "ht"
 
 
+class _Rule(NamedTuple):
+    """A test that takes any value and never raises, and the values it accepts."""
+
+    test: Callable[[Any], bool]
+    expected: str
+
+
+_BOOL = _Rule(lambda v: isinstance(v, bool), "true or false")
+_INT = _Rule(lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer")
+_REAL = _Rule(lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number")
+_STR = _Rule(lambda v: isinstance(v, str), "a string")
+_NAME = _Rule(lambda v: v is None or isinstance(v, str), "null or a string")
+_INTS = _Rule(lambda v: isinstance(v, (list, tuple)) and all(map(_INT.test, v)), "a list of integers")
+_NAMES = _Rule(lambda v: v is None or isinstance(v, list) and all(map(_STR.test, v)), "null or a list of strings")
+_INDICES = _Rule(lambda v: _INTS.test(v) and all(f >= 0 for f in v), "a list of nonnegative integers")
+_ROSTER = _Rule(lambda v: isinstance(v, (list, tuple)) and len(v) > 0, "a nonempty list")
+_POSITIVE = _Rule(lambda v: _REAL.test(v) and 0 < v < math.inf, "a finite positive number")
+_LEVELS = _Rule(
+    lambda v: _INTS.test(v) and len(v) > 0 and all(a < b for a, b in zip(v, v[1:])),
+    "a nonempty, strictly increasing list of integers",
+)
+
+
+def _count(low: int = 1) -> _Rule:
+    return _Rule(lambda v: _INT.test(v) and v >= low, f"an integer of at least {low}")
+
+
+def _one_of(words: Sequence[str]) -> _Rule:
+    return _Rule(lambda v: isinstance(v, str) and v in words, f"one of {', '.join(words)}")
+
+
+def _or(words: tuple[str | None, ...], rule: _Rule) -> _Rule:
+    names = ", ".join("null" if w is None else f'"{w}"' for w in words)
+    return _Rule(lambda v: _NAME.test(v) and v in words or rule.test(v), f"{names} or {rule.expected}")
+
+
+_LAM = _or(("cv",), _Rule(lambda v: _REAL.test(v) and 0 <= v < math.inf, "a finite nonnegative number"))
+_ALPHA = _or(("cv",), _Rule(lambda v: _REAL.test(v) and 0 <= v <= 1, "a number in [0, 1]"))
+
+
+def _walk(where: str, config, rules: Mapping[str, _Rule | None], required: Sequence[str] = (), make: Callable = dict):
+    """``make(**config)`` once ``config`` holds every ``required`` key and only keys of ``rules``, each
+    passing its rule (None: any value).  A ParameterError from ``make`` is raised again naming ``where``.
+    """
+    if not isinstance(config, Mapping):
+        raise LoadError(f"{where} must be a JSON object, not {config!r}")
+    for key, value in config.items():
+        if key not in rules:
+            raise ParameterError(f"{where} has no key {key!r} (it accepts: {', '.join(sorted(rules)) or 'none'})")
+        if rules[key] is not None and not rules[key].test(value):
+            raise ParameterError(f"{where}: {key!r} must be {rules[key].expected}, not {value!r}")
+    for key in required:
+        if key not in config:
+            raise LoadError(f"{where} needs the key {key!r}")
+    try:
+        return make(**config)
+    except ParameterError as exc:
+        raise ParameterError(f"{where}: {exc}") from exc
+
+
+def _field(rule: _Rule | None, default=MISSING):
+    """A dataclass field whose values must pass ``rule``."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def _table(settings: type) -> tuple[dict[str, _Rule | None], tuple[str, ...]]:
+    """(field name -> rule, fields without a default) of a dataclass; a field without a rule takes any value."""
+    init = [f for f in fields(settings) if f.init]
+    required = tuple(f.name for f in init if f.default is MISSING and f.default_factory is MISSING)
+    return {f.name: f.metadata.get("rule") for f in init}, required
+
+
+class _Checked:
+    """Base of settings dataclasses: construction checks every field against its rule.
+
+    A list value is stored as a tuple, so the settings stay immutable.
+    """
+
+    def __post_init__(self):
+        for name, value in _walk(type(self).__name__, vars(self), _table(type(self))[0]).items():
+            if isinstance(value, list):
+                object.__setattr__(self, name, tuple(value))
+
+
 @dataclass(frozen=True)
-class EstimatorSpec:
+class EstimatorSpec(_Checked):
     """One roster entry: a method name from ``METHODS`` plus its settings."""
 
-    method: str
-    name: str | None = None
+    method: str = _field(_STR)
+    name: str | None = _field(_NAME, None)
     params: Mapping[str, Any] = field(default_factory=dict)
 
     @property
     def label(self) -> str:
         return self.name if self.name is not None else self.method
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-#: A rule is (test, description of the values it accepts).
-_Rule = tuple[Callable[[Any], bool], str]
-
-_BOOL: _Rule = (lambda v: isinstance(v, bool), "true or false")
-_INT: _Rule = (_is_int, "an integer")
-_REAL: _Rule = (_is_real, "a number")
-_POSITIVE: _Rule = (lambda v: _is_real(v) and 0 < v < math.inf, "a finite positive number")
-
-
-def _count(low: int = 1) -> _Rule:
-    return (lambda v: _is_int(v) and v >= low, f"an integer of at least {low}")
-
-
-def _or(words: tuple[str | None, ...], rule: _Rule) -> _Rule:
-    ok, expected = rule
-    names = ", ".join("null" if w is None else f'"{w}"' for w in words)
-    return (lambda v: v in words or ok(v), f"{names} or {expected}")
-
-
-def _check(settings, **rules: _Rule) -> None:
-    for name, (ok, expected) in rules.items():
-        value = getattr(settings, name)
-        if not ok(value):
-            raise ParameterError(f"{name!r} must be {expected}, not {value!r}")
 
 
 # Each method is a frozen dataclass of its settings, checked on construction.
@@ -115,46 +165,31 @@ class Ht:
 
 
 @dataclass(frozen=True)
-class Greg:
-    intercept: bool = True
-
-    def __post_init__(self):
-        _check(self, intercept=_BOOL)
+class Greg(_Checked):
+    intercept: bool = _field(_BOOL, True)
 
     def __call__(self, sample, xs, ys, working, rng) -> float:
         return model_assisted(sample, working, fit_greg(sample, xs, ys, **vars(self))).t_hat
 
 
 @dataclass(frozen=True)
-class Lasso:
+class Lasso(_Checked):
     """Penalized regression; ``lam`` (and ``alpha``) "cv" are chosen by cross-validation."""
 
-    lam: float | str = "cv"
-    alpha: float | str = 1.0
-    cv_folds: int = 10
-    cv_lambdas: int = 100
-    lambda_min_ratio: float = 1e-4
-    cv_weighted_loss: bool = True
-    tol: float = DEFAULT_TOL
+    lam: float | str = _field(_LAM, "cv")
+    alpha: float | str = _field(_ALPHA, 1.0)
+    cv_folds: int = _field(_count(2), 10)
+    cv_lambdas: int = _field(_count(), 100)
+    lambda_min_ratio: float = _field(_POSITIVE, 1e-4)
+    cv_weighted_loss: bool = _field(_BOOL, True)
+    tol: float = _field(_POSITIVE, DEFAULT_TOL)
     # ranking penalties does not need full coefficient precision
-    cv_tol: float = 1e-4
-    cv_patience: int | None = None
-    max_iter: int = DEFAULT_MAX_SWEEPS
+    cv_tol: float = _field(_POSITIVE, 1e-4)
+    cv_patience: int | None = _field(_or((None,), _count()), None)
+    max_iter: int = _field(_count(), DEFAULT_MAX_SWEEPS)
 
     def __post_init__(self):
-        _check(
-            self,
-            lam=_or(("cv",), (lambda v: _is_real(v) and 0 <= v < math.inf, "a finite nonnegative number")),
-            alpha=_or(("cv",), (lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]")),
-            cv_folds=_count(2),
-            cv_lambdas=_count(),
-            lambda_min_ratio=_POSITIVE,
-            cv_weighted_loss=_BOOL,
-            tol=_POSITIVE,
-            cv_tol=_POSITIVE,
-            cv_patience=_or((None,), _count()),
-            max_iter=_count(),
-        )
+        super().__post_init__()
         if self.alpha == "cv" and self.lam != "cv":
             raise ParameterError("'alpha' \"cv\" needs 'lam' \"cv\"")
 
@@ -178,77 +213,55 @@ class Lasso:
 
 @dataclass(frozen=True)
 class Ridge(Lasso):
-    alpha: float | str = 0.0
+    alpha: float | str = _field(_ALPHA, 0.0)
 
 
 @dataclass(frozen=True)
 class ElasticNet(Lasso):
-    alpha: float | str = 0.5
+    alpha: float | str = _field(_ALPHA, 0.5)
 
 
 @dataclass(frozen=True)
-class Tree:
-    min_leaf: int = 5
-
-    def __post_init__(self):
-        _check(self, min_leaf=_count())
+class Tree(_Checked):
+    min_leaf: int = _field(_count(), 5)
 
     def __call__(self, sample, xs, ys, working, rng) -> float:
         return model_assisted(sample, working, tree_predictor(grow_tree(sample, xs, ys, self.min_leaf))).t_hat
 
 
 @dataclass(frozen=True)
-class Forest:
+class Forest(_Checked):
     """Settings of ``fit_forest``, which resolves the named values."""
 
-    n_trees: int = 1000
-    min_leaf: int | str = 5
-    n_split_features: int | str = "sqrt"
-    bootstrap: bool = True
-    forced_features: tuple[int, ...] = ()
-    weighted_bootstrap: bool = False
-
-    def __post_init__(self):
-        _check(
-            self,
-            n_trees=_count(),
-            min_leaf=_or(tuple(MIN_LEAF_RULES), _count()),
-            n_split_features=_or(tuple(SPLIT_FEATURE_RULES), _count()),
-            bootstrap=_BOOL,
-            forced_features=(
-                lambda v: isinstance(v, (list, tuple)) and all(_is_int(f) and f >= 0 for f in v),
-                "a list of nonnegative integers",
-            ),
-            weighted_bootstrap=_BOOL,
-        )
-        object.__setattr__(self, "forced_features", tuple(self.forced_features))
+    n_trees: int = _field(_count(), 1000)
+    min_leaf: int | str = _field(_or(tuple(MIN_LEAF_RULES), _count()), 5)
+    n_split_features: int | str = _field(_or(tuple(SPLIT_FEATURE_RULES), _count()), "sqrt")
+    bootstrap: bool = _field(_BOOL, True)
+    forced_features: tuple[int, ...] = _field(_INDICES, ())
+    weighted_bootstrap: bool = _field(_BOOL, False)
 
     def __call__(self, sample, xs, ys, working, rng) -> float:
         return model_assisted(sample, working, fit_forest(sample, xs, ys, rng, **vars(self))).t_hat
 
 
 @dataclass(frozen=True)
-class Knn:
-    k: int = 5
-    weighted: bool = False
-
-    def __post_init__(self):
-        _check(self, k=_count(), weighted=_BOOL)
+class Knn(_Checked):
+    k: int = _field(_count(), 5)
+    weighted: bool = _field(_BOOL, False)
 
     def __call__(self, sample, xs, ys, working, rng) -> float:
         return model_assisted(sample, working, fit_knn(sample, xs, ys, **vars(self))).t_hat
 
 
 @dataclass(frozen=True)
-class Pcr:
+class Pcr(_Checked):
     """Keeps ``n_components`` components, or as many as ``rule`` gives; one component by default."""
 
-    n_components: int | None = None
-    rule: str | None = None
+    n_components: int | None = _field(_or((None,), _count()), None)
+    rule: str | None = _field(_or((None,), _one_of(tuple(PCR_RULES))), None)
 
     def __post_init__(self):
-        rule = (lambda v: isinstance(v, str) and v in PCR_RULES, f"one of {', '.join(PCR_RULES)}")
-        _check(self, n_components=_or((None,), _count()), rule=_or((None,), rule))
+        super().__post_init__()
         if self.rule is not None and self.n_components is not None:
             raise ParameterError("'rule' and 'n_components' exclude each other")
 
@@ -268,30 +281,6 @@ METHODS: dict[str, type] = {
     "knn": Knn,
     "pcr": Pcr,
 }
-
-
-def _keys(where: str, config, rules: Mapping[str, _Rule | None]) -> Mapping:
-    """``config``, checked to be a mapping whose keys all have a rule in ``rules`` (None: any value) and pass it."""
-    if not isinstance(config, Mapping):
-        raise LoadError(f"{where} must be a JSON object, not {config!r}")
-    for key, value in config.items():
-        if key not in rules:
-            raise ParameterError(f"{where} has no key {key!r} (it accepts: {', '.join(sorted(rules)) or 'none'})")
-        if rules[key] is not None and not rules[key][0](value):
-            raise ParameterError(f"{where}: {key!r} must be {rules[key][1]}, not {value!r}")
-    return config
-
-
-def _parse(spec: EstimatorSpec):
-    """The checked settings object of a roster entry."""
-    if spec.method not in METHODS:
-        raise ParameterError(f"no such method {spec.method!r}")
-    settings = METHODS[spec.method]
-    _keys(f"estimator {spec.label!r}: method {spec.method!r}", spec.params, {f.name: None for f in fields(settings) if f.init})
-    try:
-        return settings(**spec.params)
-    except ParameterError as exc:
-        raise ParameterError(f"estimator {spec.label!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -328,7 +317,7 @@ class McReport:
 
 
 @dataclass(frozen=True)
-class McScenario:
+class McScenario(_Checked):
     """A complete experiment description; immutable and process-safe.
 
     ``d_noise_levels``, strictly increasing, counts the extra auxiliary
@@ -339,39 +328,37 @@ class McScenario:
 
     population: FinitePopulation
     design: SamplingDesign
-    estimators: tuple[EstimatorSpec, ...]
-    d_noise_levels: tuple[int, ...]
-    replicates: int
-    master_seed: int
+    estimators: tuple[EstimatorSpec, ...] = _field(_ROSTER)
+    d_noise_levels: tuple[int, ...] = _field(_LEVELS)
+    replicates: int = _field(_count())
+    master_seed: int = _field(_count(0))
     model: DgpModel | None = None
-    structural_columns: tuple[int, ...] | None = None
+    structural_columns: tuple[int, ...] | None = _field(_or((None,), _INTS), None)
     methods: tuple[Any, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "estimators", tuple(self.estimators))
-        levels = (
-            lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(_is_int, v))
-            and all(a < b for a, b in zip(v, v[1:])),
-            "a nonempty, strictly increasing list of integers",
-        )
-        _check(self, d_noise_levels=levels, replicates=_count(), master_seed=_count(0))
+        super().__post_init__()
         object.__setattr__(self, "d_noise_levels", tuple(int(v) for v in self.d_noise_levels))
         if self.population.y is None:
             raise ParameterError("scenario population has no survey variable")
-        if not self.estimators:
-            raise ParameterError("estimator roster is empty")
         labels = [spec.label for spec in self.estimators]
         if len(set(labels)) != len(labels):
             raise ParameterError("estimator labels must be unique")
-        object.__setattr__(self, "methods", tuple(_parse(spec) for spec in self.estimators))
+        methods = []
+        for spec in self.estimators:
+            if spec.method not in METHODS:
+                raise ParameterError(f"no such method {spec.method!r}")
+            settings = METHODS[spec.method]
+            methods.append(_walk(f"estimator {spec.label!r}", spec.params, *_table(settings), make=settings))
+        object.__setattr__(self, "methods", tuple(methods))
         structural = self.structural()
-        budget = self.population.n_aux - len(structural)
-        for level in self.d_noise_levels:
-            if level < 0 or level > budget:
-                raise ParameterError(
-                    f"d_noise level {level} outside [0, {budget}] for this population"
-                )
-        narrowest = len(structural) + min(self.d_noise_levels)
+        n_aux = self.population.n_aux
+        if len(set(structural)) < len(structural) or not all(0 <= j < n_aux for j in structural):
+            raise ParameterError(f"'structural_columns' {list(structural)} must be distinct integers in [0, {n_aux})")
+        budget = n_aux - len(structural)
+        if self.d_noise_levels[0] < 0 or self.d_noise_levels[-1] > budget:
+            raise ParameterError(f"d_noise levels {self.d_noise_levels} outside [0, {budget}] for this population")
+        narrowest = len(structural) + self.d_noise_levels[0]
         if narrowest < 1:
             raise ParameterError("no structural columns and d_noise level 0 leave the working matrix empty")
         for spec, method in zip(self.estimators, self.methods):
@@ -383,7 +370,7 @@ class McScenario:
 
     def structural(self) -> tuple[int, ...]:
         if self.structural_columns is not None:
-            return tuple(self.structural_columns)
+            return self.structural_columns
         if self.model is not None:
             return STRUCTURAL_COLUMNS[self.model.variant]
         raise ParameterError("give structural_columns when no model is attached")
@@ -669,58 +656,56 @@ def read_report(path: str | Path) -> McReport:
     return McReport(rows=tuple(rows))
 
 
+_DESIGNS = {"srswor": Srswor, "stratified": StratifiedSrs}
+
+#: Scenario file sections below the top level, whose table is ``McScenario``'s
+#: fields: name -> ({key: rule, or None for any value}, required keys).  An
+#: absent optional key is not passed on, so the default of the function it
+#: feeds applies.
+_SECTIONS: dict[str, tuple[dict[str, _Rule | None], tuple[str, ...]]] = {
+    "population": (dict.fromkeys(("generator", "file", "strata")), ()),
+    "population.generator": (
+        {"units": _INT, "columns": _INT, "rho": _REAL, "seed": None, "loc": _REAL, "scale": _REAL}, ("units", "columns")
+    ),
+    "population.file": ({"path": _STR, "schema": None}, ("path",)),
+    "population.file.schema": ({"x": _NAMES, "y": _NAME, "strata": _NAME, "ids": _NAME}, ()),
+    "population.strata": ({"count": _INT, "column": _INT}, ("count",)),
+    "model": ({"variant": None, "noise_scale": _or((None,), _REAL), "seed": None}, ("variant",)),
+    "design": ({"kind": _one_of(tuple(_DESIGNS)), "n": _INT, "allocation": None, "aux_column": _or((None,), _INT)}, ()),
+}
+
+
 def _design_from_config(config) -> SamplingDesign:
-    _keys("'design'", config, {"kind": None, "n": _INT, "allocation": None, "aux_column": _or((None,), _INT)})
-    kind = config.get("kind", "srswor")
-    if kind == "srswor":
-        return Srswor(n=int(config["n"]))
-    if kind == "stratified":
-        return StratifiedSrs(
-            n=int(config["n"]),
-            allocation=config.get("allocation", "proportional"),
-            aux_column=config.get("aux_column"),
-        )
-    raise ParameterError(f"unknown design kind {kind!r}")
+    kind = _walk("'design'", config, *_SECTIONS["design"]).get("kind", "srswor")
+    # ``kind`` chooses the class, whose fields are the other keys the section may hold
+    design = _DESIGNS[kind]
+    rules, required = _table(design)
+    return _walk("'design'", config, {"kind": None, **rules}, required, make=lambda kind=None, **args: design(**args))
 
 
 def _population_from_config(config, base_dir: Path) -> FinitePopulation:
-    _keys("'population'", config, dict.fromkeys(("generator", "file", "strata")))
+    _walk("'population'", config, *_SECTIONS["population"])
     if ("generator" in config) == ("file" in config):
         raise ParameterError("population config needs exactly one of 'generator' or 'file'")
     if "generator" in config:
-        gen = config["generator"]
-        _keys(
-            "'population.generator'", gen,
-            {"units": _INT, "columns": _INT, "rho": _REAL, "seed": _INT, "loc": _REAL, "scale": _REAL},
+        pop = _walk(
+            "'population.generator'", config["generator"], *_SECTIONS["population.generator"],
+            make=lambda units, columns, **args: generate_auxiliary(units, columns, **args),
         )
-        pop = generate_auxiliary(
-            int(gen["units"]),
-            int(gen["columns"]),
-            float(gen.get("rho", 0.0)),
-            int(gen.get("seed", 0)),
-            loc=float(gen.get("loc", 180.0)),
-            scale=float(gen.get("scale", 40.0)),
-        )
+    elif isinstance(config["file"], str):
+        pop = load_population(base_dir / config["file"])
     else:
-        file_cfg = config["file"]
-        if isinstance(file_cfg, str):
-            pop = load_population(base_dir / file_cfg)
-        else:
-            schema_cfg = _keys("'population.file'", file_cfg, dict.fromkeys(("path", "schema"))).get("schema")
-            schema = None
-            if schema_cfg:
-                _keys("'population.file.schema'", schema_cfg, dict.fromkeys(("x", "y", "strata", "ids")))
-                schema = ColumnSchema(
-                    x=tuple(schema_cfg["x"]) if "x" in schema_cfg else None,
-                    y=schema_cfg.get("y"),
-                    strata=schema_cfg.get("strata"),
-                    ids=schema_cfg.get("ids"),
-                )
-            pop = load_population(base_dir / file_cfg["path"], schema)
-    strata_cfg = config.get("strata")
-    if strata_cfg:
-        _keys("'population.strata'", strata_cfg, {"count": _INT, "column": _INT})
-        pop = assign_strata_by_quantile(pop, int(strata_cfg.get("column", 0)), int(strata_cfg["count"]))
+        file_cfg = _walk("'population.file'", config["file"], *_SECTIONS["population.file"])
+        if "schema" in file_cfg:
+            file_cfg["schema"] = _walk(
+                "'population.file.schema'", file_cfg["schema"], *_SECTIONS["population.file.schema"], make=ColumnSchema
+            )
+        pop = load_population(base_dir / file_cfg.pop("path"), **file_cfg)
+    if "strata" in config:
+        pop = _walk(
+            "'population.strata'", config["strata"], *_SECTIONS["population.strata"],
+            make=lambda count, column=0: assign_strata_by_quantile(pop, column, count),
+        )
     return pop
 
 
@@ -729,8 +714,8 @@ def load_scenario(path: str | Path) -> McScenario:
 
     The layout is documented in the README: a population source (generator or
     file), an optional model, a design, an estimator roster, noise levels,
-    a replicate count, and the master seed.  An unknown key or a value of the
-    wrong type fails with an error naming the section and the key.
+    a replicate count, and the master seed.  A missing or unknown key, or a
+    value of the wrong type, fails with an error naming the section and the key.
     """
     path = Path(path)
     if not path.exists():
@@ -739,37 +724,17 @@ def load_scenario(path: str | Path) -> McScenario:
         config = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise LoadError(f"{path}: invalid JSON ({exc})") from exc
-    try:
-        _keys("scenario", config, dict.fromkeys(("population", "model", "design", "estimators", "d_noise_levels",
-                                                 "replicates", "master_seed", "structural_columns")))
-        pop = _population_from_config(config["population"], path.parent)
-        model = None
-        if "model" in config:
-            model_cfg = config["model"]
-            _keys("'model'", model_cfg, {"variant": None, "noise_scale": _or((None,), _REAL), "seed": _INT})
-            model = DgpModel(
-                variant=model_cfg["variant"],
-                noise_scale=model_cfg.get("noise_scale"),
-                seed=int(model_cfg.get("seed", 0)),
-            )
-            if pop.y is None:
-                pop = generate_survey_variable(pop, model)
-        roster = []
-        for entry in config["estimators"]:
-            if not isinstance(entry, Mapping):
-                raise LoadError(f"{path}: each 'estimators' entry must be a JSON object, not {entry!r}")
-            params = {k: v for k, v in entry.items() if k not in ("method", "name")}
-            roster.append(EstimatorSpec(method=entry["method"], name=entry.get("name"), params=params))
-        structural = config.get("structural_columns")
-        return McScenario(
-            population=pop,
-            design=_design_from_config(config["design"]),
-            estimators=tuple(roster),
-            d_noise_levels=config["d_noise_levels"],
-            replicates=config["replicates"],
-            master_seed=config["master_seed"],
-            model=model,
-            structural_columns=tuple(structural) if structural is not None else None,
-        )
-    except KeyError as exc:
-        raise LoadError(f"{path}: missing scenario key {exc}") from exc
+    scenario = _walk("scenario", config, *_table(McScenario))
+    pop = _population_from_config(scenario["population"], path.parent)
+    if "model" in scenario:
+        scenario["model"] = _walk("'model'", scenario["model"], *_SECTIONS["model"], make=DgpModel)
+        if pop.y is None:
+            pop = generate_survey_variable(pop, scenario["model"])
+    roster = []
+    for entry in scenario["estimators"]:
+        if not isinstance(entry, Mapping):
+            raise LoadError(f"{path}: each 'estimators' entry must be a JSON object, not {entry!r}")
+        params = {k: v for k, v in entry.items() if k not in ("method", "name")}
+        roster.append(EstimatorSpec(method=entry.get("method"), name=entry.get("name"), params=params))
+    scenario.update(population=pop, design=_design_from_config(scenario["design"]), estimators=tuple(roster))
+    return McScenario(**scenario)

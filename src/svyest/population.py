@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, fields
@@ -34,6 +35,11 @@ _MIN_COLUMNS = {"Y1": 3, "Y2": 5, "Y3": 3, "Y4": 2}
 
 #: Cut points for the Y2 step terms: (column, threshold) pairs.
 _Y2_THRESHOLDS = ((4, 156.0), (1, 190.0), (4, 200.0))
+
+
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ParameterError(f"'seed' must be a nonnegative integer, not {seed!r}")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -146,10 +152,11 @@ class DgpModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in STRUCTURAL_COLUMNS:
-            raise ParameterError(f"unknown model variant {self.variant!r}")
+        if not isinstance(self.variant, str) or self.variant not in STRUCTURAL_COLUMNS:
+            raise ParameterError(f"'variant' must be one of {', '.join(STRUCTURAL_COLUMNS)}, not {self.variant!r}")
         if self.noise_scale is not None and not self.noise_scale >= 0:
-            raise ParameterError("noise_scale must be nonnegative")
+            raise ParameterError("'noise_scale' must be nonnegative")
+        _check_seed(self.seed)
 
     @property
     def resolved_noise_scale(self) -> float:
@@ -161,8 +168,8 @@ class DgpModel:
 def generate_auxiliary(
     n_units: int,
     n_aux: int,
-    rho: float,
-    seed: int,
+    rho: float = 0.0,
+    seed: int = 0,
     *,
     loc: float = 180.0,
     scale: float = 40.0,
@@ -182,6 +189,7 @@ def generate_auxiliary(
         raise ParameterError("rho must lie in [0, 1)")
     if scale <= 0:
         raise ParameterError("scale must be positive")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     z = np.empty((n_units, n_aux))
     z[:, 0] = rng.standard_normal(n_units)

@@ -101,6 +101,19 @@ class TestSimulate:
             (None, "structural_column", [0, 1, 2], "'structural_column'"),
             ("design", "allocaton", "optimal", "'allocaton'"),
             (None, "d_noise_levels", [2, 2], "'d_noise_levels'"),
+            (None, "structural_columns", 5, "'structural_columns'"),
+            (None, "structural_columns", ["a"], "'structural_columns'"),
+            (None, "structural_columns", [99], "'structural_columns'"),
+            (None, "structural_columns", [0, 0], "'structural_columns'"),
+            (None, "estimators", [{"method": ["greg"]}], "'method'"),
+            (None, "estimators", [{"method": "greg", "name": ["g"]}], "'name'"),
+            (None, "estimators", 5, "'estimators'"),
+            ("model", "variant", ["Y1"], "'variant'"),
+            ("model", "seed", -1, "'model': 'seed'"),
+            ("population", "generator", {"units": 50, "columns": 6, "seed": -1}, "'population.generator': 'seed'"),
+            ("design", "allocation", "optimal", "'allocation'"),
+            ("population", "strata", 0, "'population.strata'"),
+            (None, "population", {"file": {"path": "pop.csv", "schema": {"x": 5}}}, "'x'"),
         ],
     )
     def test_bad_scenario_input_is_runtime_error(self, tmp_path, capsys, section, key, value, named):
@@ -183,6 +196,14 @@ class TestGenerate:
         assert pop.n_aux == 5
         assert pop.y is not None
         assert pop.n_strata == 2
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--model", "Y1", "--model-seed", "-1"]])
+    def test_negative_seed_is_runtime_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "pop.csv"
+        assert main(["generate", "--out", str(out), "--units", "20", "--columns", "3"] + flags) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("svyest: error") and "'seed'" in err[0]
+        assert not out.exists()
 
     def test_generate_deterministic(self, tmp_path):
         args = ["generate", "--units", "20", "--columns", "3", "--seed", "5"]

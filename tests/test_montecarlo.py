@@ -12,6 +12,8 @@ from typing import Iterator
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from svyest import (
     DgpModel,
@@ -373,6 +375,19 @@ class TestScenarioLoader:
             ((), "master_seed", -1, r"'master_seed'"),
             ((), "d_noise_levels", ["0"], r"'d_noise_levels'"),
             ((), "d_noise_levels", [5, 5], r"'d_noise_levels'"),
+            ((), "structural_columns", 5, r"'structural_columns'"),
+            ((), "structural_columns", ["a"], r"'structural_columns'"),
+            ((), "structural_columns", [99], r"'structural_columns'"),
+            ((), "structural_columns", [0, 0], r"'structural_columns'"),
+            ((), "estimators", [{"method": ["greg"]}], r"'method' must be a string"),
+            ((), "estimators", [{"method": "greg", "name": ["g"]}], r"'name' must be null or a string"),
+            ((), "estimators", 5, r"scenario: 'estimators'"),
+            (("model",), "variant", ["Y1"], r"'model': 'variant'"),
+            (("model",), "seed", -1, r"'model': 'seed'"),
+            (("population", "generator"), "seed", -1, r"'population.generator': 'seed'"),
+            (("design",), "allocation", "optimal", r"'design' has no key 'allocation' \(it accepts: kind, n\)"),
+            ((), "population", {"file": {"path": "pop.csv", "schema": {"x": "abc"}}}, r"'population.file.schema': 'x'"),
+            ((), "population", {"file": {"path": "pop.csv", "schema": {"x": 5}}}, r"'population.file.schema': 'x'"),
         ],
     )
     def test_bad_value_or_key_names_section_and_key(self, tmp_path, section, key, value, match):
@@ -386,12 +401,107 @@ class TestScenarioLoader:
 
     @pytest.mark.parametrize(
         "key, value, match",
-        [("estimators", ["knn"], "'estimators' entry"), ("design", "srswor", "'design' must be a JSON object")],
+        [
+            ("estimators", ["knn"], "'estimators' entry"),
+            ("design", "srswor", "'design' must be a JSON object"),
+            ("population", {"generator": {"units": 60, "columns": 6}, "strata": 0}, "'population.strata' must be a JSON"),
+            ("population", {"generator": {"units": 60, "columns": 6}, "strata": False}, "'population.strata' must be"),
+            ("population", {"generator": {"units": 60, "columns": 6}, "strata": []}, "'population.strata' must be"),
+        ],
     )
     def test_non_object_section_rejected(self, tmp_path, key, value, match):
         config = {**_loader_config(), key: value}
         with pytest.raises(LoadError, match=match):
             self._load(tmp_path, config)
+
+    @pytest.mark.parametrize(
+        "section, key, where",
+        [
+            ((), "replicates", "scenario"),
+            (("design",), "n", "'design'"),
+            (("population", "generator"), "units", "'population.generator'"),
+            (("population", "generator"), "columns", "'population.generator'"),
+            (("population", "strata"), "count", "'population.strata'"),
+            (("population", "file"), "path", "'population.file'"),
+            (("model",), "variant", "'model'"),
+        ],
+    )
+    def test_missing_key_names_section_and_key(self, tmp_path, section, key, where):
+        config = _loader_config()
+        if section == ("population", "file"):
+            config["population"] = {"file": {"path": "pop.csv", "schema": {"y": "y"}}}
+        target = config
+        for name in section:
+            target = target[name]
+        del target[key]
+        with pytest.raises(LoadError, match=f"^{re.escape(where)} needs the key '{key}'$"):
+            self._load(tmp_path, config)
+
+
+def _json_paths(node, prefix=()):
+    """The path of every value below ``node`` in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+#: A valid scenario touching every section, and every path in it.
+_MUTATED_BASE = {
+    "population": {
+        "generator": {"units": 60, "columns": 6, "rho": 0.3, "seed": 5, "loc": 180.0, "scale": 40.0},
+        "strata": {"count": 2, "column": 0},
+    },
+    "model": {"variant": "Y1", "noise_scale": 100.0, "seed": 6},
+    "design": {"kind": "stratified", "n": 12, "allocation": "optimal", "aux_column": 0},
+    "estimators": [
+        {"method": "greg", "intercept": True},
+        {"method": "lasso", "name": "l", "cv_folds": 3, "cv_lambdas": 4, "cv_patience": 2},
+        {"method": "en", "lam": 0.5, "alpha": 0.5, "tol": 1e-6},
+        {"method": "forest", "n_trees": 2, "min_leaf": 3, "forced_features": [0]},
+        {"method": "knn", "k": 3},
+        {"method": "pcr", "rule": "P24"},
+    ],
+    "d_noise_levels": [0, 2],
+    "replicates": 1,
+    "master_seed": 1,
+    "structural_columns": [0, 1, 2],
+}
+_MUTATED_PATHS = list(_json_paths(_MUTATED_BASE))
+
+#: One value of each JSON type; integers stay small, so no mutation asks for a
+#: large population, forest or allocation.
+_JSON_VALUES = st.one_of(
+    st.integers(-2, 20),
+    st.sampled_from([-1.5, 0.0, 0.5, 2.5]),
+    st.sampled_from(["", "cv", "Y1", "sqrt", "x"]),
+    st.sampled_from([[], [0], [0, 0], ["a"]]),
+    st.sampled_from([{}, {"n": 1}]),
+    st.none(),
+    st.booleans(),
+)
+
+
+class TestMutatedScenario:
+    @settings(derandomize=True, deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(_MUTATED_PATHS), mutation=st.sampled_from(["drop", "swap", "nest"]), value=_JSON_VALUES)
+    def test_loads_and_runs_or_fails_with_a_svyest_error(self, tmp_path, path, mutation, value):
+        config = json.loads(json.dumps(_MUTATED_BASE))
+        *parents, key = path
+        target = config
+        for name in parents:
+            target = target[name]
+        if mutation == "drop":
+            del target[key]
+        else:
+            target[key] = [target[key]] if mutation == "nest" else value
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(config))
+        try:
+            scenario = load_scenario(scenario_path)
+            sweep_dnoise(replace(scenario, replicates=1), threads=1)
+        except SvyestError:
+            pass
 
 
 #: Every key of every built-in method with its default.
@@ -447,7 +557,8 @@ class TestBuiltinMethods:
 
     def test_readme_scenario_builds(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
-        section = readme[readme.index("### Scenario files") :]
+        start = readme.index("### Scenario files")
+        section = readme[start : readme.index("\n## ", start)]
         block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
         path = tmp_path / "scenario.json"
         path.write_text(block)
@@ -455,6 +566,12 @@ class TestBuiltinMethods:
         documented = {entry["method"] for entry in json.loads(block)["estimators"]}
         assert documented == set(_BUILTIN_DEFAULTS)
         assert len(scenario.methods) == len(scenario.estimators)
+        # every key a scenario file can hold is named in the section
+        tables = [rules for rules, _ in montecarlo._SECTIONS.values()]
+        tables += [montecarlo._table(montecarlo.McScenario)[0], {"method": None, "name": None}]
+        tables += [montecarlo._table(montecarlo.METHODS[method])[0] for method in _BUILTIN_DEFAULTS]
+        keys = {key for table in tables for key in table}
+        assert {key for key in keys if f"`{key}`" not in section and f'"{key}"' not in section} == set()
 
 
 def _blas_threads():
